@@ -29,11 +29,11 @@ GO ?= go
 TRACE_SCENARIO ?= chaos_queue_hang
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci check fmt-check vet build test race race-stress fuzz gate bench bench-check baselines chaos fleet-chaos trace fleet-trace lint wirelint selflint wirelint-json staticcheck staticcheck-install all
+.PHONY: ci check fmt-check vet build test race fuzz gate bench bench-check baselines chaos fleet-chaos trace fleet-trace lint wirelint selflint wirelint-json staticcheck staticcheck-install all
 
 all: check
 
-ci: fmt-check vet lint build test race race-stress fuzz gate bench-check
+ci: fmt-check vet lint build test race fuzz gate bench-check
 
 check: vet build test
 
@@ -78,14 +78,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Repeated race-detector runs over the parallel executive: the domain
-# runtime itself plus every placement-equivalence test in the bench
-# package. Scheduling nondeterminism across goroutines is exactly what
-# these tests exist to prove harmless, so they get extra repetitions.
-race-stress:
-	$(GO) test -race -count=5 ./internal/vtime/domain/...
-	$(GO) test -race -count=5 -run 'Fleet|Domains' ./internal/bench/...
 
 # Time-bounded coverage-guided fuzzing of the BPF backend-equivalence
 # property: interpreter, closure JIT, flattened bytecode, and fused

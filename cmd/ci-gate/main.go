@@ -5,7 +5,7 @@
 // that moves at all is a regression (or an intentional change, in which
 // case refresh the baseline with -update and commit the diff).
 //
-// Three check families, in decreasing strictness:
+// Four check families, in decreasing strictness:
 //
 //   - Scenario digests and key metrics: exact. Covers every counter,
 //     per-queue fate, latency histogram bucket, and metric series the
@@ -18,18 +18,12 @@
 //     attached; its digest must equal the scenario's baseline digest
 //     (the recorder is a pure observer) and two traced runs must export
 //     byte-identical Chrome traces. The fleet scenarios extend this:
-//     every fleet_chaos_* run re-runs traced at 1 and -domains time
-//     domains, each must reproduce the committed untraced digest, the
-//     journey dump / Chrome export / health series must be
-//     byte-identical across the two domain counts, and the forensics
-//     ledger must re-derive the conservation books exactly —
-//     independently of the identical check fleet.Run performs inside.
-//   - Parallel equivalence: every scenario re-runs through the parallel
-//     discrete-event executive with -domains time domains, and a fleet
-//     probe runs the multi-host mailbox workload sequentially and in
-//     parallel; every digest must equal its sequential counterpart
-//     byte for byte. Parallelism is an execution detail — baselines.json
-//     is shared with the sequential runs, never forked.
+//     every fleet_chaos_* run re-runs traced twice, must reproduce the
+//     committed untraced digest, the journey dump / Chrome export /
+//     health series must be byte-identical across the two reruns, and
+//     the forensics ledger must re-derive the conservation books
+//     exactly — independently of the identical check fleet.Run
+//     performs inside.
 //   - Performance floor: simulated packets per wall-clock second must
 //     stay above a deliberately conservative floor (the baseline records
 //     measured/8), so only order-of-magnitude slowdowns trip it. Skip on
@@ -37,7 +31,7 @@
 //
 // Usage:
 //
-//	ci-gate [-baselines FILE] [-update] [-skip-perf] [-domains N] [-summary FILE] [-v]
+//	ci-gate [-baselines FILE] [-update] [-skip-perf] [-summary FILE] [-v]
 //
 // Exit status 0 when every check passes, 1 on any regression, 2 on
 // operational errors (unreadable baseline, scenario failure).
@@ -92,7 +86,6 @@ func main() {
 	baselinesPath := flag.String("baselines", "baselines.json", "committed baseline file")
 	update := flag.Bool("update", false, "regenerate the baseline file from the current build")
 	skipPerf := flag.Bool("skip-perf", false, "skip the wall-clock throughput floor")
-	domains := flag.Int("domains", 4, "time domains for the parallel-equivalence family (0 skips it)")
 	summary := flag.String("summary", "", "write a plain-text check summary to FILE (for CI artifacts)")
 	verbose := flag.Bool("v", false, "print every check, not just failures")
 	flag.Parse()
@@ -105,14 +98,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var par ParallelResult
 	var ftr FleetTracedResult
-	if *domains > 0 && !*update {
-		par, err = measureParallel(*domains)
-		if err != nil {
-			fatal(err)
-		}
-		ftr, err = measureFleetTraced(*domains)
+	if !*update {
+		ftr, err = measureFleetTraced()
 		if err != nil {
 			fatal(err)
 		}
@@ -148,10 +136,10 @@ func main() {
 		fatal(fmt.Errorf("parsing %s: %w", *baselinesPath, err))
 	}
 
-	failures, checks := compare(base, reports, traced, par, ftr, allocs, perf, *skipPerf)
+	failures, checks := compare(base, reports, traced, ftr, allocs, perf, *skipPerf)
 	if *summary != "" {
 		//wirelint:allow determinism perf floor is wall-clock by design; it gates throughput, never golden digests
-		if err := writeSummary(*summary, *domains, checks, failures); err != nil {
+		if err := writeSummary(*summary, checks, failures); err != nil {
 			fatal(err)
 		}
 	}
@@ -178,14 +166,14 @@ func main() {
 // writeSummary records every check's verdict in a plain-text file CI
 // uploads as an artifact, so a failed gate run is diagnosable from the
 // artifact alone. Failed checks lead; the full pass list follows.
-func writeSummary(path string, domains int, checks, failures []string) error {
+func writeSummary(path string, checks, failures []string) error {
 	var buf bytes.Buffer
 	verdict := "PASS"
 	if len(failures) > 0 {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(&buf, "ci-gate %s: %d checks, %d failure(s), domains=%d\n",
-		verdict, len(checks), len(failures), domains)
+	fmt.Fprintf(&buf, "ci-gate %s: %d checks, %d failure(s)\n",
+		verdict, len(checks), len(failures))
 	for _, f := range failures {
 		fmt.Fprintf(&buf, "FAIL %s\n", f)
 	}
@@ -259,9 +247,9 @@ type FleetTracedScenario struct {
 	// Digest is the traced run's report digest; it must equal the
 	// scenario's committed (untraced) baseline digest.
 	Digest string
-	// Stable is whether the 1-domain and n-domain traced runs agreed on
-	// the report digest and exported byte-identical journey dumps,
-	// Chrome traces, and health series.
+	// Stable is whether two traced runs agreed on the report digest and
+	// exported byte-identical journey dumps, Chrome traces, and health
+	// series.
 	Stable bool
 	// LedgerErr is the forensics-ledger re-derivation's verdict: nil
 	// when the ledger partitions the RunReport books exactly.
@@ -270,43 +258,41 @@ type FleetTracedScenario struct {
 
 // FleetTracedResult maps fleet scenario name to its traced outcome.
 type FleetTracedResult struct {
-	Domains   int
 	Scenarios map[string]FleetTracedScenario
 }
 
-// measureFleetTraced re-runs every fleet scenario with the fleet
+// measureFleetTraced runs every fleet scenario twice with the fleet
 // observability plane attached (journeys, health lanes, forensics
-// ledger), at 1 time domain and again at n, and renders every artifact
-// both times.
-func measureFleetTraced(n int) (FleetTracedResult, error) {
-	res := FleetTracedResult{Domains: n, Scenarios: make(map[string]FleetTracedScenario)}
+// ledger) and renders every artifact both times.
+func measureFleetTraced() (FleetTracedResult, error) {
+	res := FleetTracedResult{Scenarios: make(map[string]FleetTracedScenario)}
 	for _, sc := range bench.CIScenarios() {
 		if sc.TracedRecord == nil {
 			continue
 		}
-		rep1, rec1, err := sc.TracedRecord(0)
+		rep1, rec1, err := sc.TracedRecord()
 		if err != nil {
 			return res, fmt.Errorf("fleet traced %s: %w", sc.Name, err)
 		}
-		repN, recN, err := sc.TracedRecord(n)
+		rep2, rec2, err := sc.TracedRecord()
 		if err != nil {
-			return res, fmt.Errorf("fleet traced %s at %d domains: %w", sc.Name, n, err)
+			return res, fmt.Errorf("fleet traced %s rerun: %w", sc.Name, err)
 		}
-		stable := rep1.Digest() == repN.Digest()
+		stable := rep1.Digest() == rep2.Digest()
 		renders := []func(*bytes.Buffer, *obs.Record) error{
 			func(b *bytes.Buffer, r *obs.Record) error { return r.WriteJourneys(b) },
 			func(b *bytes.Buffer, r *obs.Record) error { return r.WriteChrome(b) },
 			func(b *bytes.Buffer, r *obs.Record) error { return obs.WriteHealth(b, r.Health) },
 		}
 		for _, render := range renders {
-			var b1, bn bytes.Buffer
+			var b1, b2 bytes.Buffer
 			if err := render(&b1, &rec1); err != nil {
 				return res, fmt.Errorf("fleet traced %s: %w", sc.Name, err)
 			}
-			if err := render(&bn, &recN); err != nil {
+			if err := render(&b2, &rec2); err != nil {
 				return res, fmt.Errorf("fleet traced %s: %w", sc.Name, err)
 			}
-			stable = stable && bytes.Equal(b1.Bytes(), bn.Bytes())
+			stable = stable && bytes.Equal(b1.Bytes(), b2.Bytes())
 		}
 		res.Scenarios[sc.Name] = FleetTracedScenario{
 			Digest:    rep1.Digest(),
@@ -351,54 +337,6 @@ func fleetLedgerCheck(rep bench.RunReport, rec *obs.Record) error {
 	return nil
 }
 
-// ParallelResult is the parallel-equivalence family's outcome.
-type ParallelResult struct {
-	// Domains is the domain count the family ran at (0: skipped).
-	Domains int
-	// Digests maps scenario name to the digest of its run through the
-	// parallel executive; each must equal the committed baseline digest.
-	Digests map[string]string
-	// FleetSeq / FleetPar are the multi-host mailbox probe's digests at
-	// one domain and at Domains domains; they must be equal. The fleet
-	// has no baselines.json entry — equivalence between the two fresh
-	// runs is the whole check.
-	FleetSeq string
-	FleetPar string
-}
-
-// measureParallel re-runs every CI scenario through the parallel
-// executive with n time domains and runs the fleet probe sequentially
-// and in parallel.
-func measureParallel(n int) (ParallelResult, error) {
-	res := ParallelResult{Domains: n, Digests: make(map[string]string)}
-	for _, sc := range bench.CIScenarios() {
-		rep, err := sc.RunDomains(n)
-		if err != nil {
-			return ParallelResult{}, fmt.Errorf("scenario %s at %d domains: %w", sc.Name, n, err)
-		}
-		res.Digests[sc.Name] = rep.Digest()
-	}
-	fleet := func(domains int) (string, error) {
-		out, err := bench.RunFleet("ci_fleet", bench.FleetRun{
-			Spec: bench.WireCAPA(64, 32, 60), Hosts: 2 * n, Queues: 2, X: 300,
-			Packets: 3_000, PacketsPerSec: 60_000, Seed: 41,
-			MilestoneEvery: 500, Domains: domains,
-		})
-		if err != nil {
-			return "", fmt.Errorf("fleet probe at %d domains: %w", domains, err)
-		}
-		return out.Report.Digest(), nil
-	}
-	var err error
-	if res.FleetSeq, err = fleet(1); err != nil {
-		return ParallelResult{}, err
-	}
-	if res.FleetPar, err = fleet(n); err != nil {
-		return ParallelResult{}, err
-	}
-	return res, nil
-}
-
 // buildBaselines snapshots the current build's behavior. Alloc budgets
 // are committed exactly as measured (the hot paths are zero-allocation
 // by design, so any budget > 0 is already meaningful); the perf floor
@@ -427,7 +365,7 @@ func buildBaselines(reports []bench.RunReport, allocs map[string]float64, perf f
 // compare returns human-readable failure lines and the names of all
 // checks performed. Deterministic metrics are compared exactly; alloc
 // budgets as measured <= budget; perf as measured >= floor.
-func compare(base Baselines, reports []bench.RunReport, traced TracedResult, par ParallelResult, ftr FleetTracedResult, allocs map[string]float64, perf float64, skipPerf bool) (failures, checks []string) {
+func compare(base Baselines, reports []bench.RunReport, traced TracedResult, ftr FleetTracedResult, allocs map[string]float64, perf float64, skipPerf bool) (failures, checks []string) {
 	byName := make(map[string]bench.RunReport, len(reports))
 	for _, rep := range reports {
 		byName[rep.Scenario] = rep
@@ -544,39 +482,16 @@ func compare(base Baselines, reports []bench.RunReport, traced TracedResult, par
 				"fleet traced %s: digest %s != baseline %s (the observability plane perturbed the run)",
 				sb.Name, ft.Digest, sb.Digest))
 		}
-		checks = append(checks, fmt.Sprintf("fleet traced domains=%d exports %s", ftr.Domains, sb.Name))
+		checks = append(checks, "fleet traced rerun exports "+sb.Name)
 		if !ft.Stable {
 			failures = append(failures, fmt.Sprintf(
-				"fleet traced %s: journey dump / Chrome export / health series differ between 1 and %d domains",
-				sb.Name, ftr.Domains))
+				"fleet traced %s: journey dump / Chrome export / health series differ between two traced runs",
+				sb.Name))
 		}
 		checks = append(checks, "fleet forensics ledger "+sb.Name)
 		if ft.LedgerErr != nil {
 			failures = append(failures, fmt.Sprintf(
 				"fleet traced %s: forensics ledger not a partition: %v", sb.Name, ft.LedgerErr))
-		}
-	}
-
-	if par.Domains > 0 {
-		for _, sb := range base.Scenarios {
-			got, ok := par.Digests[sb.Name]
-			checks = append(checks, fmt.Sprintf("domains=%d digest %s", par.Domains, sb.Name))
-			if !ok {
-				failures = append(failures, fmt.Sprintf(
-					"domains=%d %s: scenario not produced by the parallel family", par.Domains, sb.Name))
-				continue
-			}
-			if got != sb.Digest {
-				failures = append(failures, fmt.Sprintf(
-					"domains=%d %s: digest %s != baseline %s (the parallel executive changed the run)",
-					par.Domains, sb.Name, got, sb.Digest))
-			}
-		}
-		checks = append(checks, fmt.Sprintf("domains=%d fleet equivalence", par.Domains))
-		if par.FleetSeq != par.FleetPar {
-			failures = append(failures, fmt.Sprintf(
-				"domains=%d fleet: parallel digest %s != sequential %s (placement leaked into the mailbox fabric)",
-				par.Domains, par.FleetPar, par.FleetSeq))
 		}
 	}
 

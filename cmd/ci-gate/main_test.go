@@ -41,7 +41,7 @@ func cleanBaseline(t *testing.T) Baselines {
 func TestGatePassesClean(t *testing.T) {
 	rep := report(t)
 	allocs := map[string]float64{"metrics_counter_inc": 0}
-	failures, checks := compare(cleanBaseline(t), []bench.RunReport{rep}, TracedResult{}, ParallelResult{}, FleetTracedResult{}, allocs, 100, false)
+	failures, checks := compare(cleanBaseline(t), []bench.RunReport{rep}, TracedResult{}, FleetTracedResult{}, allocs, 100, false)
 	if len(failures) != 0 {
 		t.Fatalf("clean comparison failed: %v", failures)
 	}
@@ -106,7 +106,7 @@ func TestGateDetectsSeededRegressions(t *testing.T) {
 			if perf == 0 {
 				perf = 100
 			}
-			failures, _ := compare(base, []bench.RunReport{rep}, TracedResult{}, ParallelResult{}, FleetTracedResult{}, a, perf, tc.skip)
+			failures, _ := compare(base, []bench.RunReport{rep}, TracedResult{}, FleetTracedResult{}, a, perf, tc.skip)
 			if len(failures) == 0 {
 				t.Fatal("tampered baseline passed the gate")
 			}
@@ -131,7 +131,7 @@ func TestSkipPerfSuppressesFloor(t *testing.T) {
 	base := cleanBaseline(t)
 	base.Perf.MinSimPktsPerSec = 1e18
 	allocs := map[string]float64{"metrics_counter_inc": 0}
-	failures, _ := compare(base, []bench.RunReport{rep}, TracedResult{}, ParallelResult{}, FleetTracedResult{}, allocs, 1, true)
+	failures, _ := compare(base, []bench.RunReport{rep}, TracedResult{}, FleetTracedResult{}, allocs, 1, true)
 	if len(failures) != 0 {
 		t.Fatalf("skip-perf still failed: %v", failures)
 	}
@@ -143,7 +143,7 @@ func TestSkipPerfSuppressesFloor(t *testing.T) {
 func TestTracedStabilityChecks(t *testing.T) {
 	base := Baselines{Scenarios: []ScenarioBaseline{{Name: tracedScenario, Digest: "abc"}}}
 	tracedFailures := func(tr TracedResult) []string {
-		failures, _ := compare(base, nil, tr, ParallelResult{}, FleetTracedResult{}, nil, 0, true)
+		failures, _ := compare(base, nil, tr, FleetTracedResult{}, nil, 0, true)
 		var out []string
 		for _, f := range failures {
 			if strings.Contains(f, "traced") {
@@ -164,59 +164,14 @@ func TestTracedStabilityChecks(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalenceChecks: when the parallel family ran, the gate
-// must flag a scenario whose parallel digest drifts from the committed
-// baseline, a scenario the family failed to produce, and a fleet probe
-// whose sequential and parallel digests disagree — and pass a matching
-// probe silently.
-func TestParallelEquivalenceChecks(t *testing.T) {
-	base := Baselines{Scenarios: []ScenarioBaseline{{Name: "constant_rate", Digest: "abc"}}}
-	parFailures := func(par ParallelResult) []string {
-		failures, _ := compare(base, nil, TracedResult{}, par, FleetTracedResult{}, nil, 0, true)
-		var out []string
-		for _, f := range failures {
-			if strings.Contains(f, "domains=") {
-				out = append(out, f)
-			}
-		}
-		return out
-	}
-	clean := ParallelResult{
-		Domains:  2,
-		Digests:  map[string]string{"constant_rate": "abc"},
-		FleetSeq: "f1", FleetPar: "f1",
-	}
-	if fs := parFailures(clean); len(fs) != 0 {
-		t.Fatalf("matching parallel family failed: %v", fs)
-	}
-	drift := clean
-	drift.Digests = map[string]string{"constant_rate": "xyz"}
-	if fs := parFailures(drift); len(fs) != 1 || !strings.Contains(fs[0], "parallel executive changed the run") {
-		t.Fatalf("digest drift not flagged: %v", fs)
-	}
-	missing := clean
-	missing.Digests = map[string]string{}
-	if fs := parFailures(missing); len(fs) != 1 || !strings.Contains(fs[0], "not produced by the parallel family") {
-		t.Fatalf("missing scenario not flagged: %v", fs)
-	}
-	leak := clean
-	leak.FleetPar = "f2"
-	if fs := parFailures(leak); len(fs) != 1 || !strings.Contains(fs[0], "placement leaked") {
-		t.Fatalf("fleet divergence not flagged: %v", fs)
-	}
-	if fs := parFailures(ParallelResult{}); len(fs) != 0 {
-		t.Fatalf("skipped family still produced failures: %v", fs)
-	}
-}
-
 // TestFleetTracedChecks: when the fleet-traced family ran, the gate
 // must flag a traced digest that drifts from the committed baseline,
-// exports that differ across domain counts, and a forensics ledger
+// exports that differ between two traced reruns, and a forensics ledger
 // that fails to partition the books — and pass a clean probe silently.
 func TestFleetTracedChecks(t *testing.T) {
 	base := Baselines{Scenarios: []ScenarioBaseline{{Name: "fleet_chaos_host_kill", Digest: "abc"}}}
 	fleetFailures := func(ftr FleetTracedResult) []string {
-		failures, _ := compare(base, nil, TracedResult{}, ParallelResult{}, ftr, nil, 0, true)
+		failures, _ := compare(base, nil, TracedResult{}, ftr, nil, 0, true)
 		var out []string
 		for _, f := range failures {
 			if strings.Contains(f, "fleet traced") {
@@ -225,13 +180,13 @@ func TestFleetTracedChecks(t *testing.T) {
 		}
 		return out
 	}
-	clean := FleetTracedResult{Domains: 4, Scenarios: map[string]FleetTracedScenario{
+	clean := FleetTracedResult{Scenarios: map[string]FleetTracedScenario{
 		"fleet_chaos_host_kill": {Digest: "abc", Stable: true},
 	}}
 	if fs := fleetFailures(clean); len(fs) != 0 {
 		t.Fatalf("clean fleet probe failed: %v", fs)
 	}
-	broken := FleetTracedResult{Domains: 4, Scenarios: map[string]FleetTracedScenario{
+	broken := FleetTracedResult{Scenarios: map[string]FleetTracedScenario{
 		"fleet_chaos_host_kill": {Digest: "xyz", Stable: false, LedgerErr: fmt.Errorf("host 0 off by 1")},
 	}}
 	fs := fleetFailures(broken)
@@ -239,7 +194,7 @@ func TestFleetTracedChecks(t *testing.T) {
 		t.Fatalf("broken fleet probe produced %d failures, want 3: %v", len(fs), fs)
 	}
 	if !strings.Contains(fs[0], "perturbed") ||
-		!strings.Contains(fs[1], "differ between 1 and 4 domains") ||
+		!strings.Contains(fs[1], "differ between two traced runs") ||
 		!strings.Contains(fs[2], "not a partition") {
 		t.Fatalf("unexpected fleet traced failure wording: %v", fs)
 	}
@@ -255,7 +210,7 @@ func TestFleetLedgerCheckRederives(t *testing.T) {
 	if !ok {
 		t.Fatal("fleet_chaos_host_kill not in CIScenarios")
 	}
-	rep, rec, err := sc.TracedRecord(0)
+	rep, rec, err := sc.TracedRecord()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func writeTrace(name, path string) error {
 		// Fleet scenarios own their recorders (one per host plus the
 		// aggregator): the merged record — journeys, health lanes, the
 		// fleet forensics ledger — comes back alongside the report.
-		rep, record, err = sc.TracedRecord(0)
+		rep, record, err = sc.TracedRecord()
 	} else {
 		rec := bench.NewRecorder()
 		rep, err = sc.RunTraced(rec)

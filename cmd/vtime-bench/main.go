@@ -2,10 +2,9 @@
 // writes the results to BENCH_vtime.json: scheduler microbenchmarks
 // (schedule, cancel, and the self-rescheduling schedule+step cycle, each
 // against one million pending events), an end-to-end wall-clock run of
-// bench.RunConstant, and the pdes_scaling family: the eight-host fleet
-// workload under the parallel discrete-event executive at 1/2/4/8 time
-// domains (plus a chaos variant), whose entries carry the run digest and
-// the measuring machine's GOMAXPROCS. Scheduler entries carry the
+// bench.RunConstant, and the filter_path family (filterbench.go), whose
+// entries carry an accept-matrix digest and the measuring machine's
+// GOMAXPROCS. Scheduler entries carry the
 // corresponding measurement taken at the container/heap-based scheduler
 // this engine replaced, so the file documents the before/after directly.
 //
@@ -26,12 +25,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/faults"
 	"repro/internal/vtime"
 )
 
@@ -52,19 +48,17 @@ type Entry struct {
 	AllocsPerOp   int64   `json:"allocs_per_op"`
 	BytesPerOp    int64   `json:"bytes_per_op"`
 	SimPktsPerSec float64 `json:"sim_pkts_per_sec,omitempty"`
-	// Digest is the run's deterministic report digest (pdes_scaling
+	// Digest is the entry's deterministic output digest (filter_path
 	// entries only). Unlike wall-clock numbers it is machine-independent,
-	// so -check compares it exactly — both against the committed value
-	// and across domain counts.
+	// so -check compares it exactly against the committed value.
 	Digest string `json:"digest,omitempty"`
 	// GoMaxProcs records the parallelism available when the entry was
-	// measured (pdes_scaling entries only): wall-clock scaling numbers
-	// are only meaningful relative to it, and the -check speedup gate is
-	// waived below 4 usable CPUs.
+	// measured (filter_path entries only), as context for its wall-clock
+	// numbers.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 	// Tolerance, when > 0, overrides the global -tolerance factor for
 	// this entry in -check mode. Families whose wall-clock noise differs
-	// structurally (tight microbench loops vs goroutine fan-out) commit
+	// structurally (tight microbench loops vs whole-corpus sweeps) commit
 	// their own window instead of sharing one fixed 4x band.
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
@@ -151,87 +145,6 @@ func benchRunConstant(b *testing.B) {
 	}
 }
 
-// ---- pdes_scaling: the parallel executive over the fleet workload ----
-//
-// Eight capture hosts, each a RunConstant-class stack (constant-rate
-// traffic into a WireCAP engine with a loaded pkt_handler), reporting
-// milestones to a collector over the cross-domain mailbox fabric; the
-// chaos variant adds a per-host queue hang plus a consumer stall so the
-// recovery machinery and its cross-domain action reports are on the
-// measured path. The same fleet runs at every domain count — only
-// placement changes — so the digests must match across entries, which
-// -check enforces alongside the committed values.
-
-const fleetHosts = 8
-
-// pdesTolerance is the committed -check window for the pdes_scaling
-// family (see Entry.Tolerance).
-const pdesTolerance = 8.0
-
-func fleetRun(domains int, chaos bool) bench.FleetRun {
-	cfg := bench.FleetRun{
-		Spec: bench.WireCAPA(64, 32, 60), Hosts: fleetHosts, Queues: 2, X: 300,
-		Packets: 20_000, PacketsPerSec: 60_000, Seed: 41,
-		MilestoneEvery: 1000, Domains: domains,
-	}
-	if chaos {
-		cfg.FaultSeed = 97
-		cfg.Faults = faults.Schedule{
-			{At: 5 * vtime.Millisecond, Kind: faults.QueueHang, Queue: 1},
-			{At: 8 * vtime.Millisecond, Dur: 20 * vtime.Millisecond, Kind: faults.HandlerStall, Queue: 0},
-		}
-	}
-	return cfg
-}
-
-// measurePDES benchmarks one fleet configuration and stamps the entry
-// with the run's digest and the measuring machine's GOMAXPROCS. The
-// fleet scenario name is constant per family — never derived from the
-// entry name — because it is embedded in every report the digest
-// covers; encoding the domain count there would make the cross-entry
-// digest comparison fail by construction.
-func measurePDES(name string, domains int, chaos bool) Record {
-	scenario := "pdes_fleet_constant"
-	if chaos {
-		scenario = "pdes_fleet_chaos"
-	}
-	var digest string
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := bench.RunFleet(scenario, fleetRun(domains, chaos))
-			if err != nil {
-				b.Fatal(err)
-			}
-			digest = res.Report.Digest()
-		}
-	})
-	cur := Entry{
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Digest:      digest,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		// Goroutine fan-out makes these entries the noisiest family in
-		// the file; their exact regression signal is the digest.
-		Tolerance: pdesTolerance,
-	}
-	cur.SimPktsPerSec = float64(fleetHosts) * 20_000 / (cur.NsPerOp / 1e9)
-	return Record{Name: name, Current: cur}
-}
-
-func pdesRecords() []Record {
-	records := []Record{
-		measurePDES("pdes_scaling_constant_d1", 1, false),
-		measurePDES("pdes_scaling_constant_d2", 2, false),
-		measurePDES("pdes_scaling_constant_d4", 4, false),
-		measurePDES("pdes_scaling_constant_d8", 8, false),
-		measurePDES("pdes_scaling_chaos_d1", 1, true),
-		measurePDES("pdes_scaling_chaos_d4", 4, true),
-	}
-	return records
-}
-
 func measure(name string, fn func(*testing.B)) Record {
 	r := testing.Benchmark(fn)
 	cur := Entry{
@@ -282,12 +195,8 @@ func check(records []Record, committedPath string, tolerance float64) int {
 			status = 1
 			continue
 		}
-		// pdes_scaling entries run real goroutine fan-out, so their
-		// allocation counts wobble with scheduling; their exact check is
-		// the digest, which covers every observable of the run.
-		pdes := strings.HasPrefix(r.Name, "pdes_")
 		switch {
-		case !pdes && r.Current.AllocsPerOp > allocBudget(want.AllocsPerOp):
+		case r.Current.AllocsPerOp > allocBudget(want.AllocsPerOp):
 			fmt.Printf("FAIL %-26s %d allocs/op, committed %d\n",
 				r.Name, r.Current.AllocsPerOp, want.AllocsPerOp)
 			status = 1
@@ -303,9 +212,6 @@ func check(records []Record, committedPath string, tolerance float64) int {
 			fmt.Printf("ok   %-26s %12.1f ns/op  %3d allocs/op  (committed %12.1f, %d)\n",
 				r.Name, r.Current.NsPerOp, r.Current.AllocsPerOp, want.NsPerOp, want.AllocsPerOp)
 		}
-	}
-	if s := checkPDES(records); s > status {
-		status = s
 	}
 	if s := checkFilterPath(records); s > status {
 		status = s
@@ -341,60 +247,6 @@ func allocBudget(committed int64) int64 {
 	return committed + slack
 }
 
-// checkPDES enforces the parallel-executive properties across the fresh
-// pdes_scaling measurements themselves:
-//
-//   - Placement invariance, unconditionally: every domain count of a
-//     family must produce the identical digest.
-//   - Scaling, only where physics allows: with >= 4 usable CPUs the
-//     4-domain constant fleet must run >= 2x faster than the 1-domain
-//     one. On smaller machines the gate is waived (and says so) — the
-//     digests still pin that the parallel path executed correctly.
-func checkPDES(records []Record) int {
-	byName := make(map[string]Entry, len(records))
-	for _, r := range records {
-		byName[r.Name] = r.Current
-	}
-	status := 0
-	for _, family := range [][]string{
-		{"pdes_scaling_constant_d1", "pdes_scaling_constant_d2", "pdes_scaling_constant_d4", "pdes_scaling_constant_d8"},
-		{"pdes_scaling_chaos_d1", "pdes_scaling_chaos_d4"},
-	} {
-		ref, ok := byName[family[0]]
-		if !ok {
-			continue
-		}
-		for _, name := range family[1:] {
-			e, ok := byName[name]
-			if !ok {
-				continue
-			}
-			if e.Digest != ref.Digest {
-				fmt.Printf("FAIL %-26s digest %s != %s's %s (placement leaked into output)\n",
-					name, e.Digest, family[0], ref.Digest)
-				status = 1
-			}
-		}
-	}
-	d1, ok1 := byName["pdes_scaling_constant_d1"]
-	d4, ok4 := byName["pdes_scaling_constant_d4"]
-	if ok1 && ok4 {
-		speedup := d1.NsPerOp / d4.NsPerOp
-		switch {
-		case runtime.NumCPU() < 4:
-			fmt.Printf("skip pdes speedup gate: %d CPU(s) available, need >= 4 (measured %.2fx at 4 domains)\n",
-				runtime.NumCPU(), speedup)
-		case speedup < 2.0:
-			fmt.Printf("FAIL pdes_scaling_constant_d4 speedup %.2fx over d1, want >= 2.0x on %d CPUs\n",
-				speedup, runtime.NumCPU())
-			status = 1
-		default:
-			fmt.Printf("ok   pdes speedup gate: %.2fx at 4 domains on %d CPUs\n", speedup, runtime.NumCPU())
-		}
-	}
-	return status
-}
-
 func main() {
 	out := flag.String("o", "BENCH_vtime.json", "output file (- for stdout)")
 	checkMode := flag.Bool("check", false, "compare against the committed file instead of overwriting it")
@@ -409,7 +261,6 @@ func main() {
 		measure("run_constant_200k", benchRunConstant),
 	}
 	records = append(records, filterPathRecords()...)
-	records = append(records, pdesRecords()...)
 	if *checkMode {
 		os.Exit(check(records, *checkPath, *tolerance))
 	}

@@ -12,7 +12,7 @@
 //	wirestat -r fleet-trace.json -health      # raw health time-series
 //
 // Every output is a pure function of the record: byte-identical across
-// -domains settings, machines, and runs — ci-gate relies on that.
+// machines and runs — ci-gate relies on that.
 package main
 
 import (

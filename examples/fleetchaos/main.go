@@ -58,5 +58,5 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("virtual time elapsed: %v\n", r.EndNs)
-	fmt.Printf("digest: %s (byte-identical for every -domains value)\n", r.Digest())
+	fmt.Printf("digest: %s (byte-identical run to run)\n", r.Digest())
 }

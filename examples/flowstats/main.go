@@ -25,8 +25,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One stage shared across queues: handles deliver sequentially inside
-	// one simulated time domain, so no locking is needed here.
+	// One stage shared across queues: handles deliver sequentially on the
+	// one simulation goroutine, so no locking is needed here.
 	stage := analytics.New(analytics.Config{
 		FlowCapacity: 4096,
 		TopK:         16,

@@ -40,10 +40,6 @@ type AnalyticsRun struct {
 
 	// Trace attaches a flight recorder to the NIC and the stage.
 	Trace *obs.Recorder
-	// Domains / Workers: as in ConstantRun — the run is one structural
-	// unit in domain 0, so its report is byte-identical for every value.
-	Domains int
-	Workers int
 }
 
 // analyticsHandler adapts the analytics stage onto engines.Handler: one
@@ -85,7 +81,7 @@ func RunAnalytics(cfg AnalyticsRun) (Result, error) {
 	if cfg.Seconds == 0 {
 		cfg.Seconds = 0.4
 	}
-	sim, sched := simFor(cfg.Domains, cfg.Workers)
+	sched := vtime.NewScheduler()
 	reg := metrics.NewRegistry()
 	var inj *faults.Injector
 	if len(cfg.Faults) > 0 {
@@ -126,7 +122,7 @@ func RunAnalytics(cfg AnalyticsRun) (Result, error) {
 		Seed:     cfg.Seed,
 	})
 	st := trace.Drive(sched, n, src, nil)
-	runSim(sim, sched)
+	sched.Run()
 	return Result{
 		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(),
 		Metrics: reg, End: sched.Now(),
@@ -141,10 +137,9 @@ func RunAnalytics(cfg AnalyticsRun) (Result, error) {
 // superspreader estimate sits under the ci-gate digest.
 func AnalyticsScenarios() []Scenario {
 	mk := func(name, about string, cfg AnalyticsRun) Scenario {
-		run := func(rec *obs.Recorder, domains int) (RunReport, error) {
+		run := func(rec *obs.Recorder) (RunReport, error) {
 			c := cfg
 			c.Trace = rec
-			c.Domains = domains
 			res, err := RunAnalytics(c)
 			if err != nil {
 				return RunReport{}, err
@@ -152,9 +147,8 @@ func AnalyticsScenarios() []Scenario {
 			return res.Report(name), nil
 		}
 		return Scenario{Name: name, About: about,
-			Run:        func() (RunReport, error) { return run(nil, 0) },
-			RunTraced:  func(rec *obs.Recorder) (RunReport, error) { return run(rec, 0) },
-			RunDomains: func(d int) (RunReport, error) { return run(nil, d) },
+			Run:       func() (RunReport, error) { return run(nil) },
+			RunTraced: run,
 		}
 	}
 	return []Scenario{

@@ -7,10 +7,8 @@ import (
 )
 
 // TestAnalyticsScenarioDeterminism: each analytics scenario renders a
-// byte-identical report when re-run, when traced, and under the
-// parallel executive with 1, 2, and 4 time domains — the equivalence
-// property cmd/ci-gate's -domains check enforces, extended to the
-// sketch contents themselves.
+// byte-identical report when re-run and when traced — the digest covers
+// the sketch contents themselves.
 func TestAnalyticsScenarioDeterminism(t *testing.T) {
 	for _, sc := range AnalyticsScenarios() {
 		sc := sc
@@ -39,15 +37,6 @@ func TestAnalyticsScenarioDeterminism(t *testing.T) {
 			}
 			if traced.Digest() != digest {
 				t.Fatalf("traced digest %s != untraced %s", traced.Digest(), digest)
-			}
-			for _, d := range []int{1, 2, 4} {
-				rep, err := sc.RunDomains(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Digest() != digest {
-					t.Fatalf("domains=%d digest %s != %s", d, rep.Digest(), digest)
-				}
 			}
 		})
 	}
@@ -101,8 +90,8 @@ func TestAnalyticsScenariosRegistered(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing from CIScenarios", name)
 		}
-		if sc.RunTraced == nil || sc.RunDomains == nil {
-			t.Fatalf("%s lacks traced/domains variants", name)
+		if sc.RunTraced == nil {
+			t.Fatalf("%s lacks a traced variant", name)
 		}
 	}
 	var _ func(*obs.Recorder) (RunReport, error) // keep obs import honest

@@ -12,8 +12,8 @@ import (
 // through the observability plane: the traced run's digest must equal
 // the untraced digest (the journeys, health lanes, and forensics ledger
 // are pure observers), and every rendered artifact — journey dump,
-// Chrome export, health series — must be byte-identical at 1 and 4 time
-// domains. This is the test-suite mirror of ci-gate's fleet-traced
+// Chrome export, health series — must be byte-identical across two
+// traced runs. This is the test-suite mirror of ci-gate's fleet-traced
 // family.
 func TestFleetTracedObservabilityGolden(t *testing.T) {
 	for _, sc := range CIScenarios() {
@@ -26,7 +26,7 @@ func TestFleetTracedObservabilityGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep1, rec1, err := sc.TracedRecord(0)
+			rep1, rec1, err := sc.TracedRecord()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,23 +34,23 @@ func TestFleetTracedObservabilityGolden(t *testing.T) {
 				t.Errorf("tracing changed the digest: untraced %s, traced %s",
 					plain.Digest(), rep1.Digest())
 			}
-			rep4, rec4, err := sc.TracedRecord(4)
+			rep2, rec2, err := sc.TracedRecord()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep1.Digest() != rep4.Digest() {
-				t.Errorf("digest differs across domains: %s vs %s", rep1.Digest(), rep4.Digest())
+			if rep1.Digest() != rep2.Digest() {
+				t.Errorf("digest differs between traced reruns: %s vs %s", rep1.Digest(), rep2.Digest())
 			}
 			render := func(what string, f func(*bytes.Buffer, obs.Record) error) {
-				var b1, b4 bytes.Buffer
+				var b1, b2 bytes.Buffer
 				if err := f(&b1, rec1); err != nil {
-					t.Fatalf("%s domains=1: %v", what, err)
+					t.Fatalf("%s run 1: %v", what, err)
 				}
-				if err := f(&b4, rec4); err != nil {
-					t.Fatalf("%s domains=4: %v", what, err)
+				if err := f(&b2, rec2); err != nil {
+					t.Fatalf("%s run 2: %v", what, err)
 				}
-				if !bytes.Equal(b1.Bytes(), b4.Bytes()) {
-					t.Errorf("%s differs across domains", what)
+				if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+					t.Errorf("%s differs between traced reruns", what)
 				}
 			}
 			render("journey dump", func(b *bytes.Buffer, r obs.Record) error { return r.WriteJourneys(b) })

@@ -65,19 +65,15 @@ func fleetRunReport(name string, cfg fleet.Config) (RunReport, fleet.Result, err
 	return rep, res, nil
 }
 
-// fleetScenario wires one fleet config into the Scenario triple. The
+// fleetScenario wires one fleet config into a Scenario. The
 // fleet package manages its own recorders (one per host, merged), so
 // RunTraced flips Config.Traced rather than threading the external
 // recorder through; the recorder argument stays a pure observer either
 // way and the report must not change — exactly what ci-gate asserts.
 func fleetScenario(name, about string, cfg fleet.Config, minDelivery float64) Scenario {
-	run := func(traced bool, domains int) (RunReport, fleet.Result, error) {
+	run := func(traced bool) (RunReport, fleet.Result, error) {
 		c := cfg
 		c.Traced = traced
-		if domains > 0 {
-			c.Domains = domains
-			c.Workers = domains
-		}
 		rep, res, err := fleetRunReport(name, c)
 		if err != nil {
 			return RunReport{}, fleet.Result{}, err
@@ -95,19 +91,15 @@ func fleetScenario(name, about string, cfg fleet.Config, minDelivery float64) Sc
 	}
 	return Scenario{Name: name, About: about,
 		Run: func() (RunReport, error) {
-			rep, _, err := run(false, 0)
+			rep, _, err := run(false)
 			return rep, err
 		},
 		RunTraced: func(*obs.Recorder) (RunReport, error) {
-			rep, _, err := run(true, 0)
+			rep, _, err := run(true)
 			return rep, err
 		},
-		RunDomains: func(d int) (RunReport, error) {
-			rep, _, err := run(false, d)
-			return rep, err
-		},
-		TracedRecord: func(d int) (RunReport, obs.Record, error) {
-			rep, res, err := run(true, d)
+		TracedRecord: func() (RunReport, obs.Record, error) {
+			rep, res, err := run(true)
 			return rep, res.Record, err
 		},
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // digest flattens everything observable about a run into one string, so
@@ -49,46 +51,6 @@ func TestGoldenDeterminism(t *testing.T) {
 	c, d := border(), border()
 	if c != d {
 		t.Errorf("border runs diverged:\n  %s\n  %s", c, d)
-	}
-}
-
-// TestGoldenDomainsEquivalence extends the golden guard across the
-// parallel executive: the same workload routed through Sim with any
-// domain count must produce the bit-identical Result — not just the
-// same digest, the same full observable state — as the plain scheduler.
-func TestGoldenDomainsEquivalence(t *testing.T) {
-	constant := func(domains int) string {
-		res, err := RunConstant(ConstantRun{
-			Spec: WireCAPB(256, 100), Packets: 50_000, X: 300, Seed: 7,
-			Domains: domains,
-		})
-		if err != nil {
-			t.Fatalf("RunConstant(domains=%d): %v", domains, err)
-		}
-		return digest(res)
-	}
-	ref := constant(0)
-	for _, d := range []int{1, 2, 4} {
-		if got := constant(d); got != ref {
-			t.Errorf("constant run diverged at domains=%d:\n  %s\n  %s", d, got, ref)
-		}
-	}
-
-	border := func(domains int) string {
-		res, offered, err := RunBorder(BorderRun{
-			Spec: WireCAPA(256, 100, 60), Queues: 4, X: 300,
-			Seconds: 0.5, Seed: 11, Domains: domains,
-		})
-		if err != nil {
-			t.Fatalf("RunBorder(domains=%d): %v", domains, err)
-		}
-		return digest(res) + fmt.Sprintf(" offered=%v", offered)
-	}
-	bref := border(0)
-	for _, d := range []int{3} {
-		if got := border(d); got != bref {
-			t.Errorf("border run diverged at domains=%d:\n  %s\n  %s", d, got, bref)
-		}
 	}
 }
 
@@ -146,5 +108,31 @@ func TestRunReportDigestSensitivity(t *testing.T) {
 	}
 	if run(7) == run(8) {
 		t.Error("digest unchanged across different seeds; it is not covering the run state")
+	}
+}
+
+// TestFleetDigestSensitivity proves the flattened fleet digest the gate
+// pins covers the run: perturbing the offered rate, the host count, or
+// the aggregation batch size must change it. (The traffic seed alone is
+// not enough: a lossless paced run only renames its flows.)
+func TestFleetDigestSensitivity(t *testing.T) {
+	run := func(mutate func(*fleet.Config)) string {
+		cfg := fleet.Config{Hosts: 4, Packets: 3_000, Flows: 64, Seed: 7}
+		mutate(&cfg)
+		rep, err := FleetRunReport("fleet_sens", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Digest()
+	}
+	base := run(func(*fleet.Config) {})
+	if run(func(c *fleet.Config) { c.PacketsPerSec = 750_000 }) == base {
+		t.Error("fleet digest unchanged across offered rates")
+	}
+	if run(func(c *fleet.Config) { c.Hosts = 5 }) == base {
+		t.Error("fleet digest unchanged across host counts")
+	}
+	if run(func(c *fleet.Config) { c.BatchPackets = 16 }) == base {
+		t.Error("fleet digest unchanged across batch sizes")
 	}
 }

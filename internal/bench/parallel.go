@@ -11,9 +11,7 @@ import (
 // host.
 //
 // The fan-out draws workers from the process-wide budget in
-// internal/vtime/domain — the same pool the parallel discrete-event
-// executive uses for in-run domain windows — so nested parallelism
-// (parallel runs of parallel simulations) shares one worker budget
+// internal/vtime/domain, so nested fan-outs share one worker budget
 // instead of oversubscribing cores: whichever layer grabs workers first
 // parallelizes, and the other degrades to sequential execution.
 //

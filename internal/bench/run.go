@@ -13,35 +13,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/trace"
 	"repro/internal/vtime"
-	"repro/internal/vtime/domain"
 )
-
-// simFor builds the run's execution substrate from its Domains setting.
-// Domains <= 1 returns a plain scheduler and no executive — the default
-// path, bit-for-bit the pre-parallel event loop. Domains > 1 routes the
-// run through the parallel discrete-event executive: the run's
-// components all live in domain 0 (a single-host run is one structural
-// unit and cannot be split), so the extra domains idle and the digest
-// is provably identical for every Domains value — the equivalence
-// property the golden tests and cmd/ci-gate's -domains check pin.
-// Multi-host fleet runs (fleet.go) are where extra domains get work.
-func simFor(domains, workers int) (*domain.Sim, *vtime.Scheduler) {
-	if domains <= 1 {
-		return nil, vtime.NewScheduler()
-	}
-	sim := domain.New(domain.Config{Domains: domains, Workers: workers})
-	return sim, sim.Domain(0).Scheduler()
-}
-
-// runSim drains the run's event loop through whichever substrate simFor
-// chose.
-func runSim(sim *domain.Sim, sched *vtime.Scheduler) {
-	if sim == nil {
-		sched.Run()
-		return
-	}
-	sim.Run()
-}
 
 // Result is the outcome of one engine run.
 type Result struct {
@@ -104,17 +76,11 @@ type ConstantRun struct {
 	// Trace attaches a flight recorder to the run's NIC; nil runs
 	// untraced (the hot-path hooks are nil-safe no-ops).
 	Trace *obs.Recorder
-	// Domains executes the run under the parallel discrete-event
-	// executive with that many time domains (<= 1: plain scheduler, the
-	// default). The report is byte-identical for every value; see simFor.
-	Domains int
-	// Workers bounds in-window parallelism (0: the shared budget).
-	Workers int
 }
 
 // RunConstant executes the run to completion.
 func RunConstant(cfg ConstantRun) (Result, error) {
-	sim, sched := simFor(cfg.Domains, cfg.Workers)
+	sched := vtime.NewScheduler()
 	reg := metrics.NewRegistry()
 	n := nic.New(sched, nic.Config{ID: 0, RxQueues: 1, RingSize: 1024, Promiscuous: true, Metrics: reg, Trace: cfg.Trace})
 	costs := engines.DefaultCosts()
@@ -138,7 +104,7 @@ func RunConstant(cfg ConstantRun) (Result, error) {
 		Seed:        cfg.Seed,
 	})
 	st := trace.Drive(sched, n, src, nil)
-	runSim(sim, sched)
+	sched.Run()
 	return Result{
 		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(), Handler: h,
 		Metrics: reg, End: sched.Now(),
@@ -166,9 +132,6 @@ type BorderRun struct {
 	Filter string
 	// Trace attaches a flight recorder to the receive NIC.
 	Trace *obs.Recorder
-	// Domains / Workers: as in ConstantRun.
-	Domains int
-	Workers int
 }
 
 // RunBorder executes the run to completion. It also returns the per-queue
@@ -184,7 +147,7 @@ func RunBorder(cfg BorderRun) (Result, []uint64, error) {
 	if cfg.Seconds > 0 {
 		dur = vtime.Time(cfg.Seconds * float64(vtime.Second))
 	}
-	sim, sched := simFor(cfg.Domains, cfg.Workers)
+	sched := vtime.NewScheduler()
 	reg := metrics.NewRegistry()
 	n := nic.New(sched, nic.Config{ID: 0, RxQueues: cfg.Queues, RingSize: 1024, Promiscuous: true, Metrics: reg, Trace: cfg.Trace})
 	costs := engines.DefaultCosts()
@@ -226,7 +189,7 @@ func RunBorder(cfg BorderRun) (Result, []uint64, error) {
 	})
 	countPerQueue(countSrc, cfg.Queues, offered)
 
-	runSim(sim, sched)
+	sched.Run()
 	res := Result{
 		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(), Handler: h,
 		Metrics: reg, End: sched.Now(),

@@ -82,8 +82,8 @@ func (s EngineSpec) Build(sched *vtime.Scheduler, n *nic.NIC, costs engines.Cost
 
 // BuildWith constructs the engine like Build, letting mutate adjust the
 // WireCAP core configuration first (it is ignored for non-WireCAP
-// kinds, which have no config). Fleet runs use it to install the
-// cross-domain recovery hook and the host's logical-domain label.
+// kinds, which have no config). Analytics runs use it to install the
+// chunk batch filter.
 func (s EngineSpec) BuildWith(sched *vtime.Scheduler, n *nic.NIC, costs engines.CostModel, h engines.Handler, mutate func(*core.Config)) (engines.Engine, error) {
 	build := func(cfg core.Config) (engines.Engine, error) {
 		if mutate != nil {

@@ -11,19 +11,16 @@ import (
 // report — the class of bug the wirelint maporder analyzer hunts — shows
 // up here as a byte diff.
 func TestReportByteStability(t *testing.T) {
-	run := func(domains int) RunReport {
+	run := func() RunReport {
 		res, err := RunConstant(ConstantRun{
 			Spec: WireCAPB(64, 100), Packets: 20_000, X: 300, Seed: 11,
-			Domains: domains,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Report("stability")
 	}
-	// One plain run, one through the parallel executive: byte stability
-	// must hold across runs AND across execution substrates.
-	a, b := run(0), run(3)
+	a, b := run(), run()
 
 	aj, err := a.JSON()
 	if err != nil {

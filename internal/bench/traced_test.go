@@ -83,7 +83,7 @@ func TestDropLedgerConservation(t *testing.T) {
 			tot := rep.Totals
 			if rep.Engine == "fleet" {
 				// Fleet scenarios account drops in host-level books, not
-				// the packet-lifecycle ledger (their per-domain recorders
+				// the packet-lifecycle ledger (their per-host recorders
 				// merge inside fleet.Run, which already errors on any
 				// conservation miss). Check the flattened books here.
 				if tot.Received != tot.Delivered+tot.DeliveryDrops {

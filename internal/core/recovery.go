@@ -62,16 +62,9 @@ const (
 	maxFlushRetries = 8
 )
 
-// action records one recovery action in the flight recorder and, when
-// the engine has a cross-domain action hook (fleet runs), publishes it
-// there too — the "cross-domain recovery path" that lets an aggregation
-// plane in another time domain watch a host heal itself.
+// action records one recovery action in the flight recorder.
 func (e *Engine) action(kind string, queue int, arg int64) {
-	now := e.sched.Now()
-	e.trace.Action(kind, e.nicID, queue, arg, now)
-	if e.cfg.OnAction != nil {
-		e.cfg.OnAction(kind, queue, now)
-	}
+	e.trace.Action(kind, e.nicID, queue, arg, e.sched.Now())
 }
 
 // armWatchdog (re)starts the watchdog if recovery is on and it is not

@@ -18,7 +18,7 @@ import (
 type aggregator struct {
 	cfg    *Config
 	sched  *vtime.Scheduler
-	tx     *domain.Tx     // control-plane sender (domain 0)
+	tx     *domain.Tx     // control-plane sender
 	ctl    []*domain.Port // per-host control ports
 	steer  *Steering      // authoritative table
 	rec    *obs.Recorder
@@ -227,8 +227,8 @@ func (a *aggregator) minWatermark() vtime.Time {
 // drain emits every buffered packet with TS ≤ w, smallest
 // (TS, host, seq) first — a k-way merge over the per-host FIFO buffers.
 // at is the virtual time the merge runs (the triggering delivery, or
-// the global run end during finish) — explicit, never read from the
-// aggregator domain's clock, so traced exports stay placement-independent.
+// the global run end during finish), passed explicitly rather than read
+// from the scheduler's clock.
 func (a *aggregator) drain(w, at vtime.Time) {
 	for {
 		best := -1

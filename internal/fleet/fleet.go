@@ -5,8 +5,7 @@
 // exactly one host, and a loss-accounted aggregation plane merges the
 // per-host capture streams into one globally ordered feed.
 //
-// The package is the promotion of the PR 6 bench fleet harness into a
-// real subsystem, built around three invariants:
+// The package is built around three invariants:
 //
 //   - Conservation. Every packet a host records into an aggregation
 //     batch is accounted for exactly once at drain:
@@ -17,11 +16,11 @@
 //     packets staler than the emitted frontier — each counted where it
 //     happens. Run returns an error if the books do not balance.
 //
-//   - Placement independence. Hosts are logical domains of the
-//     conservative parallel executive (internal/vtime/domain); the
-//     aggregator lives in domain 0. Reports — including the
-//     order-sensitive feed ledger — are byte-identical for every
-//     Domains/Workers setting.
+//   - Determinism. Hosts and the aggregator share one scheduler and
+//     talk only through the fixed-latency mailboxes of the sequential
+//     executive (internal/vtime/domain), whose canonical delivery order
+//     depends on construction alone. Reports — including the
+//     order-sensitive feed ledger — are byte-identical run to run.
 //
 //   - Order-preserving failover. Steering rewrites are broadcast as a
 //     deterministic op log applied by every replica at the same virtual
@@ -70,8 +69,7 @@ type Config struct {
 	FlushInterval vtime.Time
 
 	// LinkLatency is the host->aggregator mailbox latency, CtrlLatency
-	// the aggregator->host control latency (defaults 20µs each; both are
-	// conservative-lookahead sources for the parallel executive).
+	// the aggregator->host control latency (defaults 20µs each).
 	LinkLatency vtime.Time
 	CtrlLatency vtime.Time
 	// LinkBytesPerSec / LinkBurst / MsgOverhead parameterize each host's
@@ -116,11 +114,6 @@ type Config struct {
 	// schedule on its own injector, seeded SplitSeed(FaultSeed, host).
 	Faults    faults.Schedule
 	FaultSeed uint64
-
-	// Domains is the execution domain count (default 1), Workers the
-	// in-window parallelism bound — pure placement, never observable.
-	Domains int
-	Workers int
 
 	// CollectFeed keeps the merged feed in memory on the Result for
 	// property tests. Off for gate runs (the ledger digest stands in).
@@ -269,7 +262,7 @@ type HostReport struct {
 }
 
 // Report is the deterministic record of a fleet run. Identical configs
-// produce byte-identical reports for every Domains/Workers setting.
+// produce byte-identical reports.
 type Report struct {
 	Scenario string `json:"scenario"`
 	Hosts    int    `json:"hosts"`

@@ -129,30 +129,6 @@ func TestPerFlowOrderAcrossFailover(t *testing.T) {
 	}
 }
 
-func TestPlacementEquivalence(t *testing.T) {
-	cfg := testConfig()
-	cfg.CollectFeed = false
-	cfg.Faults = crashSchedule()
-	base, err := Run("placement", cfg)
-	if err != nil {
-		t.Fatalf("Run(domains=1): %v", err)
-	}
-	want := base.Report.Digest()
-	for _, d := range []int{2, 4} {
-		c := cfg
-		c.Domains = d
-		c.Workers = d
-		res, err := Run("placement", c)
-		if err != nil {
-			t.Fatalf("Run(domains=%d): %v", d, err)
-		}
-		if got := res.Report.Digest(); got != want {
-			t.Errorf("domains=%d digest %s != domains=1 digest %s\nbase: %+v\ngot:  %+v",
-				d, got, want, base.Report, res.Report)
-		}
-	}
-}
-
 func TestCrashQuarantineAndReadmission(t *testing.T) {
 	cfg := testConfig()
 	cfg.Packets = 20_000 // ~20ms: room for crash, detection, restart, readmission

@@ -19,9 +19,9 @@ type frame struct {
 // sizes. Every host runs its own instance with the SAME seed — the
 // instances emit bit-identical streams, and each host captures exactly
 // the frames its steering replica assigns to it. That models one tapped
-// wire fanned out to every capture box without any cross-domain traffic
-// on the offered path, so the offered stream itself can never depend on
-// placement.
+// wire fanned out to every capture box without any mailbox traffic on
+// the offered path, so the offered stream itself never depends on the
+// aggregation plane.
 type generator struct {
 	sched    *vtime.Scheduler
 	r        *vtime.Rand

@@ -53,37 +53,33 @@ func TestTracedObservabilityIsPureObserver(t *testing.T) {
 	}
 }
 
-// TestTracedExportsPlacementIndependent renders every observability
-// artifact — journey dump, Chrome trace, health series — from the same
-// storm at 1 and 4 time domains and requires byte identity. The lanes
-// are logical (host id, not execution domain), so placement must not
-// show anywhere.
-func TestTracedExportsPlacementIndependent(t *testing.T) {
+// TestTracedExportsDeterministic renders every observability artifact —
+// journey dump, Chrome trace, health series, fleet ledger — from two
+// runs of the same storm and requires byte identity.
+func TestTracedExportsDeterministic(t *testing.T) {
 	cfg := stormConfig()
 	cfg.Traced = true
 	r1, err := Run("storm", cfg)
 	if err != nil {
-		t.Fatalf("Run domains=1: %v", err)
+		t.Fatalf("first Run: %v", err)
 	}
-	cfg.Domains = 4
-	cfg.Workers = 4
-	r4, err := Run("storm", cfg)
+	r2, err := Run("storm", cfg)
 	if err != nil {
-		t.Fatalf("Run domains=4: %v", err)
+		t.Fatalf("second Run: %v", err)
 	}
-	if d1, d4 := r1.Report.Digest(), r4.Report.Digest(); d1 != d4 {
-		t.Fatalf("digest differs across domains: %s vs %s", d1, d4)
+	if d1, d2 := r1.Report.Digest(), r2.Report.Digest(); d1 != d2 {
+		t.Fatalf("digest differs between reruns: %s vs %s", d1, d2)
 	}
 	render := func(name string, f func(*bytes.Buffer, Result) error) {
-		var b1, b4 bytes.Buffer
+		var b1, b2 bytes.Buffer
 		if err := f(&b1, r1); err != nil {
-			t.Fatalf("%s domains=1: %v", name, err)
+			t.Fatalf("%s run 1: %v", name, err)
 		}
-		if err := f(&b4, r4); err != nil {
-			t.Fatalf("%s domains=4: %v", name, err)
+		if err := f(&b2, r2); err != nil {
+			t.Fatalf("%s run 2: %v", name, err)
 		}
-		if b1.String() != b4.String() {
-			t.Errorf("%s differs across domains", name)
+		if b1.String() != b2.String() {
+			t.Errorf("%s differs between reruns", name)
 		}
 	}
 	render("journey dump", func(b *bytes.Buffer, r Result) error { return r.Record.WriteJourneys(b) })

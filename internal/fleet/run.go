@@ -33,12 +33,13 @@ func Run(name string, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("fleet: %s: %w", name, err)
 	}
 
-	sim := domain.New(domain.Config{Domains: cfg.Domains, Workers: cfg.Workers})
+	sim := domain.New(domain.Config{})
+	d := sim.Domain(0)
+	sched := d.Scheduler()
 
-	// Construction happens in a fixed, placement-independent order:
-	// aggregation port, then per host (control port, link tx), then the
-	// control tx — the same sequence for every domain count, as the
-	// conservative executive requires.
+	// Construction happens in a fixed order — aggregation port, then per
+	// host (control port, link tx), then the control tx — which fixes
+	// every port and tx id and so the canonical delivery order.
 	newRec := func() *obs.Recorder {
 		if !cfg.Traced {
 			return nil // every Recorder method is nil-safe
@@ -50,16 +51,16 @@ func Run(name string, cfg Config) (Result, error) {
 
 	steer := NewSteering(cfg.Hosts)
 	aggRec := newRec()
-	agg := newAggregator(&cfg, sim.Domain(0).Scheduler(), steer, aggRec)
+	agg := newAggregator(&cfg, sched, steer, aggRec)
 	if cfg.Traced {
 		// Each actor samples a private registry so the health series is a
-		// pure function of that actor's own event history (placement-
-		// independent); the fleet lane is summed from them after the run.
+		// pure function of that actor's own event history; the fleet lane
+		// is summed from them after the run.
 		reg := metrics.NewRegistry()
 		agg.registerHealth(reg)
 		agg.health = obs.NewHealthSampler("agg", reg, cfg.HealthInterval, cfg.HealthMaxIntervals)
 	}
-	aggPort := sim.NewPort(sim.Domain(0), cfg.LinkLatency, agg.receive)
+	aggPort := sim.NewPort(d, cfg.LinkLatency, agg.receive)
 
 	flows := newFlowPool(cfg.Seed, cfg.Flows)
 	interval := vtime.PerSecond(cfg.PacketsPerSec)
@@ -68,8 +69,6 @@ func Run(name string, cfg Config) (Result, error) {
 	hostRecs := make([]*obs.Recorder, cfg.Hosts)
 	ctl := make([]*domain.Port, cfg.Hosts)
 	for h := 0; h < cfg.Hosts; h++ {
-		d := sim.Domain(h % sim.Domains())
-		sched := d.Scheduler()
 		rec := newRec()
 		hostRecs[h] = rec
 
@@ -100,7 +99,7 @@ func Run(name string, cfg Config) (Result, error) {
 
 		newGenerator(sched, cfg.Seed, flows, cfg.Packets, interval, hs.offer)
 	}
-	agg.tx = sim.NewTx(sim.Domain(0))
+	agg.tx = sim.NewTx(d)
 	agg.ctl = ctl
 
 	sim.Run()
@@ -164,11 +163,10 @@ func Run(name string, cfg Config) (Result, error) {
 
 	res := Result{Report: rep, Feed: agg.feed}
 	if cfg.Traced {
-		// Tags are logical lanes — aggregator 0, host h as h+1 — NOT the
-		// execution domains the actors happened to run in, so the merged
-		// record (and everything rendered from it: journey dumps, Chrome
-		// exports, the forensics ledger) is byte-identical across
-		// Domains/Workers settings and ci-gate can compare them.
+		// Tags are logical lanes — aggregator 0, host h as h+1 — so the
+		// merged record (and everything rendered from it: journey dumps,
+		// Chrome exports, the forensics ledger) keeps every actor's
+		// records attributable.
 		recs := make([]obs.Record, 0, cfg.Hosts+1)
 		ar := aggRec.Record(name, end)
 		ar.Tag(0)

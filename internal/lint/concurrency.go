@@ -8,10 +8,9 @@ import (
 )
 
 // ConcurrencyAnalyzer fences raw concurrency out of simulator code
-// (DESIGN.md §11): determinism survives parallel execution only because
-// every goroutine and every cross-goroutine message is owned by the
-// domain runtime, which confines them behind lookahead barriers and
-// canonical mailbox merges. A naked `go` statement or an ad-hoc channel
+// (DESIGN.md §10): every simulation runs on one goroutine, and the only
+// goroutines are domain.ForEach's workers, which fan out independent
+// runs that share no state. A naked `go` statement or an ad-hoc channel
 // anywhere else reintroduces scheduling nondeterminism that no golden
 // digest can pin down, so goroutine launches, channel makes, sends,
 // receives, and select statements are banned outside
@@ -26,7 +25,7 @@ var ConcurrencyAnalyzer = &Analyzer{
 }
 
 // concurrencyExemptPkg is the one package allowed to spawn goroutines
-// and own channels: the parallel executive that makes them deterministic.
+// and own channels: the home of the ForEach worker pool.
 const concurrencyExemptPkg = "repro/internal/vtime/domain"
 
 func runConcurrency(pass *Pass) error {
@@ -57,13 +56,13 @@ func runConcurrency(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"go statement outside the domain runtime; spawn work through internal/vtime/domain so execution stays deterministic")
+					"go statement outside the domain runtime; fan independent runs out through domain.ForEach so execution stays deterministic")
 			case *ast.SendStmt:
 				if comm[n] {
 					return true
 				}
 				pass.Reportf(n.Pos(),
-					"channel send outside the domain runtime; cross-domain messages go through domain mailboxes (Tx.Send)")
+					"channel send outside the domain runtime; simulation actors message each other through domain mailboxes (Tx.Send)")
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW && !comm[n] {
 					pass.Reportf(n.Pos(),

@@ -30,8 +30,8 @@ func TestModuleClean(t *testing.T) {
 	t.Logf("analyzed %d packages, %d allowlisted exceptions", sum.Packages, sum.Allowed)
 
 	// The fleet control plane must pass the determinism fence with no
-	// exemptions at all: its placement-independence guarantee (digests
-	// byte-identical across -domains) rests on the package having zero
+	// exemptions at all: its determinism guarantee (digests
+	// byte-identical run to run) rests on the package having zero
 	// goroutines, wall clocks, or unsorted map emissions — by
 	// construction, not by //wirelint:allow.
 	for _, f := range sum.AllowedList {

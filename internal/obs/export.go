@@ -18,9 +18,9 @@ type Record struct {
 	Scenario    string     `json:"scenario"`
 	End         vtime.Time `json:"end_ns"`
 	SampleEvery uint32     `json:"sample_every"`
-	// Domain is the time domain that produced this record, when it is a
-	// per-domain slice of a fleet run (see Tag / MergeRecords). 0 — and
-	// omitted from JSON — for ordinary single-domain records, keeping
+	// Domain is the tag of the actor that produced this record, when it
+	// is a per-actor slice of a fleet run (see Tag / MergeRecords). 0 — and
+	// omitted from JSON — for ordinary single-host records, keeping
 	// their exports byte-identical.
 	Domain int `json:"domain,omitempty"`
 

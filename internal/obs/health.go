@@ -22,9 +22,8 @@ import (
 // later mutation has. Because each lane samples a registry owned by a
 // single simulation actor (one host, or the aggregator), the counter
 // values at each interval boundary are a pure function of that actor's
-// event history, which the conservative executive fixes independent of
-// domain placement — the series is byte-identical across -domains, and
-// ci-gate gates it. A timer-driven sampler would instead extend the
+// event history, which the mailbox executive's canonical order fixes —
+// the series is byte-identical run to run, and ci-gate gates it. A timer-driven sampler would instead extend the
 // event queue and perturb run end times; this one cannot.
 
 // HealthValue is one nonzero series delta inside an interval. Counter
@@ -234,7 +233,7 @@ func (d *HealthDelta) Value(name string) int64 {
 }
 
 // WriteHealth renders every lane's time-series in a stable text form
-// (ci-gate byte-compares it across -domains settings).
+// (ci-gate byte-compares it across two traced runs).
 func WriteHealth(w io.Writer, lanes []HealthSeries) error {
 	bw := &errWriter{w: w}
 	for _, l := range lanes {

@@ -255,7 +255,7 @@ func (rec *Record) FlowJourneys() []FlowHosts {
 // WriteJourneys renders the canonical journey dump: one line per
 // journey in record order, then the flows that crossed a re-steer. The
 // output is a pure function of the record — ci-gate byte-compares it
-// across -domains settings.
+// across two traced runs.
 func (rec *Record) WriteJourneys(w io.Writer) error {
 	bw := &errWriter{w: w}
 	bw.printf("== journeys: %s (end %dns) ==\n", rec.Scenario, rec.End)

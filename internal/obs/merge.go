@@ -6,18 +6,17 @@ import (
 	"repro/internal/vtime"
 )
 
-// This file is the observability half of the parallel simulation
-// (DESIGN.md §11): each time domain owns a private Recorder (recorders
-// are single-threaded by design, like everything else inside a domain),
-// and after the run the per-domain Records are merged into one
+// This file is the observability half of the fleet (DESIGN.md §13-14):
+// each fleet actor — the aggregator and every host — owns a private
+// Recorder, and after the run the per-actor Records are merged into one
 // fleet-wide Record in canonical order. The merge is pure data
 // plumbing — sort keys only, no clocks, no maps iterated unsorted — so
-// the merged export is byte-identical for any domain count, worker
-// count, or machine.
+// the merged export is byte-identical on any machine.
 
-// Tag labels the record and every sub-record in it with the time domain
-// that produced it. Domain 0 marshals as absent (omitempty), so
-// single-domain exports are byte-identical to pre-parallel ones.
+// Tag labels the record and every sub-record in it with the logical
+// actor that produced it (fleet.Run: 0 for the aggregator, h+1 for host
+// h). Tag 0 marshals as absent (omitempty), so untagged single-host
+// exports carry no domain field.
 func (rec *Record) Tag(domain int) {
 	rec.Domain = domain
 	for i := range rec.Packets {
@@ -34,7 +33,7 @@ func (rec *Record) Tag(domain int) {
 	}
 }
 
-// MergeRecords merges per-domain records into one record in canonical
+// MergeRecords merges per-actor records into one record in canonical
 // order: every event slice sorts by (virtual time, domain, original
 // position), packets by (first-stamp time, domain, id), the stage
 // profile by summed bucket key, and drop totals by summed cause. Fault
@@ -44,7 +43,7 @@ func (rec *Record) Tag(domain int) {
 //
 // Sorting is stable and every tiebreak ends in a key that is unique
 // within its domain, so the result is a pure function of the inputs —
-// independent of placement, worker count, and merge call order.
+// independent of merge call order.
 func MergeRecords(scenario string, end vtime.Time, recs []Record) Record {
 	out := Record{
 		Scenario:    scenario,

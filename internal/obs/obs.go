@@ -181,8 +181,8 @@ type PacketTrace struct {
 	Stamps []StageStamp   `json:"stamps"`
 	// Drop is the drop cause name when the trace ended in a drop, "".
 	Drop string `json:"drop,omitempty"`
-	// Domain is the time domain that recorded the trace in a merged
-	// fleet record; 0 (omitted) in single-domain runs.
+	// Domain is the tag of the actor that recorded the trace in a merged
+	// fleet record (see Record.Tag); 0 (omitted) in single-host runs.
 	Domain int `json:"domain,omitempty"`
 }
 
@@ -202,7 +202,7 @@ type DropRecord struct {
 	// when the drop happened, -1 when none was. In a merged fleet
 	// record it refers to the window with the same Domain.
 	Fault int32 `json:"fault"`
-	// Domain is the recording time domain (0 / omitted outside fleets).
+	// Domain is the recording actor's tag (0 / omitted outside fleets).
 	Domain int `json:"domain,omitempty"`
 }
 
@@ -214,7 +214,7 @@ type FaultWindow struct {
 	Queue int        `json:"queue"` // -1 for NIC-scoped faults
 	Open  vtime.Time `json:"open"`
 	Close vtime.Time `json:"close"` // -1 while/if never closed
-	// Domain is the recording time domain (0 / omitted outside fleets).
+	// Domain is the recording actor's tag (0 / omitted outside fleets).
 	Domain int `json:"domain,omitempty"`
 }
 
@@ -226,7 +226,7 @@ type ActionRecord struct {
 	NIC   int        `json:"nic"`
 	Queue int        `json:"queue"`
 	Arg   int64      `json:"arg"`
-	// Domain is the recording time domain (0 / omitted outside fleets).
+	// Domain is the recording actor's tag (0 / omitted outside fleets).
 	Domain int `json:"domain,omitempty"`
 }
 

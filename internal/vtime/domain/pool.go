@@ -7,11 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// The process-wide worker budget. Every parallel construct in the
-// repository — Sim windows, bench's cross-run fan-out — borrows extra
-// workers from this one budget instead of spawning its own goroutines,
-// so nested parallelism (parallel runs of parallel simulations)
-// degrades to sequential execution instead of oversubscribing cores:
+// The process-wide worker budget. Every ForEach fan-out (bench's
+// cross-run fan-out is the one user) borrows extra workers from this
+// one budget instead of spawning its own goroutines, so nested fan-outs
+// degrade to sequential execution instead of oversubscribing cores:
 // the total number of borrowed workers can never exceed GOMAXPROCS-1,
 // and every borrower also works with its own calling goroutine.
 //

@@ -27,10 +27,9 @@ func NewRand(seed uint64) *Rand {
 }
 
 // SplitSeed derives an independent child seed from a root seed and a
-// stream index, so a multi-domain simulation can give every domain (or
-// host, or injector) its own full-quality deterministic stream that
-// depends only on the root seed and the stream's stable identity — never
-// on which goroutine or time domain ends up running it. The derivation
+// stream index, so a simulation can give every host (or injector) its
+// own full-quality deterministic stream that depends only on the root
+// seed and the stream's stable identity. The derivation
 // is a splitmix64 mix of the root with a golden-ratio-spaced stream
 // offset, the same construction NewRand uses internally.
 func SplitSeed(seed, stream uint64) uint64 {

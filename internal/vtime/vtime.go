@@ -97,11 +97,10 @@ type Scheduler struct {
 	stale   int // cancelled events whose heap entries remain
 	stopped bool
 	// horizon, when nonzero, is an externally imposed bound the clock may
-	// not cross via AdvanceIfIdle: the domain runtime sets it to the
-	// earlier of the current lookahead window's end and the next pending
-	// cross-domain delivery, so hot-path batching can never skip over a
-	// mailbox message or a barrier. Zero means unbounded (the default,
-	// single-scheduler behavior).
+	// not cross via AdvanceIfIdle: the mailbox executive
+	// (internal/vtime/domain) sets it to the next pending delivery, so
+	// hot-path batching can never skip over a mailbox message. Zero means
+	// unbounded (the default, single-scheduler behavior).
 	horizon Time
 }
 
@@ -215,7 +214,7 @@ func (s *Scheduler) Pending() int { return s.live }
 
 // NextAt returns the timestamp of the earliest pending event, or false
 // when the queue is empty. It does not run anything or move the clock;
-// the domain runtime uses it to compute conservative lookahead windows.
+// the mailbox executive uses it to interleave deliveries with events.
 func (s *Scheduler) NextAt() (Time, bool) {
 	e, ok := s.peek()
 	return e.at, ok
@@ -224,8 +223,8 @@ func (s *Scheduler) NextAt() (Time, bool) {
 // AdvanceTo moves the clock to t without running anything. It panics if
 // t is in the past or if an event is pending before t — skipping work
 // would be a causality violation, exactly like scheduling into the past.
-// The domain runtime uses it to stamp the clock at a cross-domain
-// delivery time before invoking the delivery handler.
+// The mailbox executive uses it to stamp the clock at a delivery time
+// before invoking the delivery handler.
 func (s *Scheduler) AdvanceTo(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("vtime: AdvanceTo %v before now %v", t, s.now))
@@ -238,8 +237,8 @@ func (s *Scheduler) AdvanceTo(t Time) {
 
 // SetHorizon bounds AdvanceIfIdle: with a nonzero horizon the clock will
 // not batch-advance to any t >= horizon, forcing callers back onto real
-// scheduled events that the domain runtime's window loop can see. Pass 0
-// to clear. Only the domain runtime should need this; within a single
+// scheduled events that the mailbox executive's loop can see. Pass 0 to
+// clear. Only the mailbox executive should need this; within a
 // free-running scheduler the horizon stays 0 and batching is unbounded.
 func (s *Scheduler) SetHorizon(t Time) { s.horizon = t }
 
