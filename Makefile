@@ -80,8 +80,8 @@ race:
 	$(GO) test -race ./...
 
 # Time-bounded coverage-guided fuzzing of the BPF backend-equivalence
-# property: interpreter, closure JIT, flattened bytecode, and fused
-# predicates must agree on every (expression, packet) the fuzzer finds.
+# property: interpreter, flattened bytecode, and fused predicates must
+# agree on every (expression, packet) the fuzzer finds.
 fuzz:
 	$(GO) test -fuzz=FuzzBackendsAgree -fuzztime=30s ./internal/bpf
 

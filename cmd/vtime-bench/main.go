@@ -172,7 +172,7 @@ type benchDoc struct {
 // check compares fresh measurements against the committed file without
 // touching it. Allocations are deterministic, so any increase fails;
 // ns/op is wall-clock and noisy, so it only fails beyond tolerance×.
-func check(records []Record, committedPath string, tolerance float64) int {
+func check(records []Record, speedups []float64, committedPath string, tolerance float64) int {
 	data, err := os.ReadFile(committedPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vtime-bench:", err)
@@ -213,7 +213,7 @@ func check(records []Record, committedPath string, tolerance float64) int {
 				r.Name, r.Current.NsPerOp, r.Current.AllocsPerOp, want.NsPerOp, want.AllocsPerOp)
 		}
 	}
-	if s := checkFilterPath(records); s > status {
+	if s := checkFilterPath(os.Stdout, records, speedups); s > status {
 		status = s
 	}
 	if status == 1 {
@@ -260,9 +260,10 @@ func main() {
 		measure("schedule_step_1m_pending", benchScheduleStep),
 		measure("run_constant_200k", benchRunConstant),
 	}
-	records = append(records, filterPathRecords()...)
+	filterRecords, speedups := filterPathRecords()
+	records = append(records, filterRecords...)
 	if *checkMode {
-		os.Exit(check(records, *checkPath, *tolerance))
+		os.Exit(check(records, speedups(), *checkPath, *tolerance))
 	}
 	doc := benchDoc{
 		Note:    "generated by cmd/vtime-bench; baseline = container/heap scheduler before the allocation-free rewrite",

@@ -37,14 +37,19 @@ func main() {
 	flag.Parse()
 
 	expr := strings.Join(flag.Args(), " ")
-	prog, err := bpf.Compile(expr, 65535)
+	if *dump {
+		prog, err := bpf.Compile(expr, 65535)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wiredump:", err)
+			os.Exit(2)
+		}
+		fmt.Print(bpf.Disassemble(prog))
+		return
+	}
+	filter, err := bpf.CompileFlat(expr, 65535)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wiredump:", err)
 		os.Exit(2)
-	}
-	if *dump {
-		fmt.Print(bpf.Disassemble(prog))
-		return
 	}
 	if *file == "" {
 		fmt.Fprintln(os.Stderr, "wiredump: -r is required")
@@ -64,12 +69,6 @@ func main() {
 		}
 		return
 	}
-	vm, err := bpf.NewVM(prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wiredump:", err)
-		os.Exit(2)
-	}
-
 	src, closeFn, err := openTrace(*file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wiredump:", err)
@@ -97,7 +96,7 @@ func main() {
 		read.Inc()
 		readBytes.Add(uint64(len(frame)))
 		last = ts
-		if !vm.Match(frame) {
+		if !filter.Match(frame) {
 			continue
 		}
 		// Decode errors still print the link-level line, as tcpdump does.

@@ -63,13 +63,13 @@ func TestArithPrimitives(t *testing.T) {
 			if got := Eval(e, c.pkt); got != c.want {
 				t.Fatalf("Eval = %v, want %v", got, c.want)
 			}
-			// And the JIT agrees.
-			fn, err := JITCompile(prog)
+			// And the flattened backend agrees.
+			flat, err := Flatten(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fn.Match(c.pkt); got != c.want {
-				t.Fatalf("JIT = %v, want %v", got, c.want)
+			if got := flat.Match(c.pkt); got != c.want {
+				t.Fatalf("flattened = %v, want %v", got, c.want)
 			}
 		})
 	}
@@ -154,7 +154,8 @@ func randomArith(r *vtime.Rand, depth int) Arith {
 }
 
 // TestArithDifferential cross-checks compiled arithmetic filters against
-// the reference evaluator and the JIT on random expressions and packets.
+// the reference evaluator and the flattened backend on random
+// expressions and packets.
 func TestArithDifferential(t *testing.T) {
 	r := vtime.NewRand(777)
 	b := packet.NewBuilder()
@@ -174,7 +175,7 @@ func TestArithDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, err := JITCompile(prog)
+		flat, err := Flatten(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,8 +185,8 @@ func TestArithDifferential(t *testing.T) {
 			if got := vm.Match(frame); got != want {
 				t.Fatalf("VM %v != Eval %v on %q\n%s", got, want, e, Disassemble(prog))
 			}
-			if got := fn.Match(frame); got != want {
-				t.Fatalf("JIT %v != Eval %v on %q", got, want, e)
+			if got := flat.Match(frame); got != want {
+				t.Fatalf("flattened %v != Eval %v on %q", got, want, e)
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 package bpf
 
-// Flattened-bytecode backend: the third filter backend next to the VM
-// interpreter (bpf.go) and the closure JIT (jit.go). Flatten rewrites a
-// validated classic-BPF program into a branch-threaded form —
+// Flattened-bytecode backend: the production filter engine, checked
+// against the reference VM interpreter (bpf.go) and the Eval oracle
+// (eval.go). Flatten rewrites a validated classic-BPF program into a
+// branch-threaded form —
 // every jump carries its absolute target, so the dispatch loop never
 // does pc-relative arithmetic — and hoists packet bounds checks to
 // basic-block entries. Within a straight-line block every instruction
@@ -52,12 +53,8 @@ type flatOp struct {
 // reusable across packets but, like the VM, not across goroutines
 // (FilterChunk reuses internal state).
 type FlatProgram struct {
-	fused *fusedMatcher // non-nil: specialized straight-line predicate
-	// fast is fused's shape-specialized predicate, hoisted here at
-	// compile time so Run reaches it in one load instead of two.
-	fast    func([]byte) uint32
-	ops     []flatOp // otherwise: flattened bytecode
-	origLen int
+	fast func([]byte) uint32 // non-nil: fused predicate (fuse.go)
+	ops  []flatOp            // otherwise: flattened bytecode
 }
 
 // Flatten rewrites a validated program into flattened form.
@@ -160,7 +157,7 @@ func Flatten(p Program) (*FlatProgram, error) {
 		}
 		ops[flatIdx[pc]] = op
 	}
-	return &FlatProgram{ops: ops, origLen: len(p)}, nil
+	return &FlatProgram{ops: ops}, nil
 }
 
 // FlattenExpr compiles a parsed expression for the flattened backend,
@@ -171,8 +168,8 @@ func FlattenExpr(e Expr, snaplen uint32) (*FlatProgram, error) {
 	if snaplen == 0 {
 		snaplen = DefaultSnapLen
 	}
-	if m, ok := fuseExpr(e, snaplen); ok {
-		return &FlatProgram{fused: m, fast: m.fast}, nil
+	if fast, ok := fuseExpr(e, snaplen); ok {
+		return &FlatProgram{fast: fast}, nil
 	}
 	p, err := CompileExpr(e, snaplen)
 	if err != nil {
@@ -200,12 +197,9 @@ func MustCompileFlat(expr string, snaplen uint32) *FlatProgram {
 	return f
 }
 
-// Fused reports whether the filter runs as a specialized straight-line
-// predicate rather than flattened bytecode.
-func (f *FlatProgram) Fused() bool { return f.fused != nil }
-
-// Len returns the original instruction count (0 for fused filters).
-func (f *FlatProgram) Len() int { return f.origLen }
+// Fused reports whether the filter runs as a fused Go predicate rather
+// than flattened bytecode.
+func (f *FlatProgram) Fused() bool { return f.fast != nil }
 
 // Run executes the filter over pkt and returns the snapshot length to
 // accept (0 rejects), with the same observable semantics as VM.Run on a
@@ -216,9 +210,6 @@ func (f *FlatProgram) Len() int { return f.origLen }
 func (f *FlatProgram) Run(pkt []byte) uint32 {
 	if f.fast != nil {
 		return f.fast(pkt)
-	}
-	if m := f.fused; m != nil {
-		return m.run(pkt)
 	}
 	var a, x uint32
 	var mem [ScratchSlots]uint32

@@ -47,21 +47,15 @@ type fusedMatcher struct {
 	needProto bool
 	needAddr  bool
 	needPort  bool
-
-	// fast, when non-nil, is a shape-specialized predicate built at fuse
-	// time (see specialize): it decodes exactly the fields its conditions
-	// test and replaces the generic term evaluator entirely.
-	fast func([]byte) uint32
 }
 
-// fuseExpr tries to specialize e; ok is false when the shape (or the
-// size of its DNF expansion) requires the bytecode path. A nil
-// expression fuses to a single empty term (match everything).
-func fuseExpr(e Expr, snaplen uint32) (*fusedMatcher, bool) {
+// fuseExpr tries to compile e to a Go predicate; ok is false when the
+// shape (or the size of its DNF expansion) requires the bytecode path.
+// A nil expression fuses to a single empty term (match everything).
+func fuseExpr(e Expr, snaplen uint32) (func([]byte) uint32, bool) {
 	if e == nil {
 		m := &fusedMatcher{snaplen: snaplen, terms: [][]fcond{{}}}
-		m.specialize()
-		return m, true
+		return m.specialize(), true
 	}
 	terms, ok := fuseTerms(e)
 	if !ok || len(terms) == 0 || len(terms) > maxFuseTerms {
@@ -83,8 +77,7 @@ func fuseExpr(e Expr, snaplen uint32) (*fusedMatcher, bool) {
 			}
 		}
 	}
-	m.specialize()
-	return m, true
+	return m.specialize(), true
 }
 
 func fuseTerms(e Expr) ([][]fcond, bool) {
@@ -188,9 +181,6 @@ type fview struct {
 //
 //wirecap:hotpath
 func (m *fusedMatcher) run(pkt []byte) uint32 {
-	if m.fast != nil {
-		return m.fast(pkt)
-	}
 	var v fview
 	v.plen = uint32(len(pkt))
 	v.etOK = len(pkt) >= 14
@@ -306,22 +296,28 @@ func (m *fusedMatcher) run(pkt []byte) uint32 {
 // evaluator above remains the fallback for every other shape, and the
 // differential and fuzz tests exercise both paths against the VM.
 
-// specialize installs m.fast when the term list matches a known shape.
-func (m *fusedMatcher) specialize() {
+// specialize returns m's predicate: the dedicated closure when the term
+// list matches a known shape, otherwise the generic term evaluator.
+func (m *fusedMatcher) specialize() func([]byte) uint32 {
 	snap := m.snaplen
+	var fast func([]byte) uint32
 	if len(m.terms) == 1 {
 		switch t := m.terms[0]; len(t) {
 		case 0:
-			m.fast = func([]byte) uint32 { return snap }
+			fast = func([]byte) uint32 { return snap }
 		case 1:
-			m.fast = fastCond1(t[0], snap)
+			fast = fastCond1(t[0], snap)
 		case 2:
-			m.fast = fastCond2(t[0], t[1], snap)
+			fast = fastCond2(t[0], t[1], snap)
 		}
 	}
-	if m.fast == nil {
-		m.fast = fastPortList(m.terms, snap)
+	if fast == nil {
+		fast = fastPortList(m.terms, snap)
 	}
+	if fast == nil {
+		fast = m.run
+	}
+	return fast
 }
 
 // be32 reads a big-endian 32-bit field; the caller has length-checked.

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzFilterCompile guards the lexer, parser, code generator, and
 // validator against panics on arbitrary filter expressions, and checks
-// that whatever compiles also validates, JIT-compiles, and runs.
+// that whatever compiles also validates, flattens, and runs.
 func FuzzFilterCompile(f *testing.F) {
 	for _, seed := range []string{
 		"udp and net 131.225.2",
@@ -34,21 +34,21 @@ func FuzzFilterCompile(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jit, err := JITCompile(prog)
+		flat, err := Flatten(prog)
 		if err != nil {
-			t.Fatalf("valid program fails JIT: %v", err)
+			t.Fatalf("valid program fails Flatten: %v", err)
 		}
-		if vm.Run(pkt) != jit.Run(pkt) {
-			t.Fatalf("VM and JIT diverge on %q", expr)
+		if vm.Run(pkt) != flat.Run(pkt) {
+			t.Fatalf("VM and flattened diverge on %q", expr)
 		}
 	})
 }
 
 // FuzzBackendsAgree is the three-backend agreement target CI fuzzes
 // (`make fuzz`): whatever expression compiles must produce the same
-// return value from the interpreter, the closure JIT, the flattened
-// bytecode, and the fused fast path, on any packet. The VM is rebuilt
-// per run so all backends start from zeroed scratch memory.
+// return value from the interpreter, the flattened bytecode, and the
+// fused predicate, on any packet. The VM is rebuilt per run so all
+// backends start from zeroed scratch memory.
 func FuzzBackendsAgree(f *testing.F) {
 	seedPkt := make([]byte, 60)
 	seedPkt[12] = 0x08
@@ -69,10 +69,6 @@ func FuzzBackendsAgree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiled filter fails validation: %v (%q)", err, expr)
 		}
-		jit, err := JITCompile(prog)
-		if err != nil {
-			t.Fatalf("valid program fails JIT: %v", err)
-		}
 		flat, err := Flatten(prog)
 		if err != nil {
 			t.Fatalf("valid program fails Flatten: %v", err)
@@ -86,9 +82,6 @@ func FuzzBackendsAgree(f *testing.F) {
 			t.Fatalf("valid expression fails FlattenExpr: %v", err)
 		}
 		want := vm.Run(pkt)
-		if got := jit.Run(pkt); got != want {
-			t.Fatalf("JIT diverges on %q: %d != %d", expr, got, want)
-		}
 		if got := flat.Run(pkt); got != want {
 			t.Fatalf("flattened diverges on %q: %d != %d", expr, got, want)
 		}
