@@ -6,7 +6,10 @@
 # is the quick subset for inner-loop development.
 #
 # `make bench` refreshes BENCH_vtime.json; `make bench-check` compares
-# against the committed file read-only (the CI mode). `make gate`
+# against the committed file read-only (the CI mode). `make bench-build`
+# vets and tests the frozen wirebench module (cmd/wirebench/_src), which
+# sits outside the root module's ./..., so an API break in a package it
+# imports fails here rather than only when the benchmark runs. `make gate`
 # runs the regression gate alone; refresh its baselines after an
 # intentional behavior change with `make baselines`.
 #
@@ -29,11 +32,11 @@ GO ?= go
 TRACE_SCENARIO ?= chaos_queue_hang
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci check fmt-check vet build test race fuzz gate bench bench-check baselines chaos fleet-chaos trace fleet-trace lint wirelint selflint wirelint-json staticcheck staticcheck-install all
+.PHONY: ci check fmt-check vet build test race fuzz gate bench bench-check bench-build baselines chaos fleet-chaos trace fleet-trace lint wirelint selflint wirelint-json staticcheck staticcheck-install all
 
 all: check
 
-ci: fmt-check vet lint build test race fuzz gate bench-check
+ci: fmt-check vet lint build test race fuzz gate bench-check bench-build
 
 check: vet build test
 
@@ -116,3 +119,7 @@ bench:
 
 bench-check:
 	$(GO) run ./cmd/vtime-bench -check
+
+bench-build:
+	$(GO) -C cmd/wirebench/_src vet ./...
+	$(GO) -C cmd/wirebench/_src test ./...

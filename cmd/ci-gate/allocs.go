@@ -1,10 +1,13 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/analytics"
+	"repro/internal/bench"
 	"repro/internal/bpf"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -13,8 +16,10 @@ import (
 )
 
 // measureAllocs runs testing.AllocsPerRun over the simulator's
-// zero-allocation hot paths. The names key the budget entries in
-// baselines.json; the budgets committed there are all zero.
+// zero-allocation hot paths, plus one end-to-end fleet run measured per
+// offered packet. The names key the budget entries in baselines.json:
+// every hot-path budget committed there is zero; the fleet budget is a
+// hand-set per-packet ceiling.
 func measureAllocs() map[string]float64 {
 	out := make(map[string]float64)
 
@@ -115,6 +120,21 @@ func measureAllocs() map[string]float64 {
 	out["bpf_filter_chunk"] = testing.AllocsPerRun(200, func() {
 		flt.FilterChunk(frames, accept)
 	})
+
+	// The fleet tier end to end: one fleet.Run of the host-kill storm,
+	// construction and report included, per offered packet. The capture,
+	// merge and ledger path allocates nothing per packet; what remains is
+	// per batch (the batch array, the mailbox payload) and per run.
+	storm := bench.FleetStormConfig()
+	var stormErr error
+	perRun := testing.AllocsPerRun(1, func() {
+		_, stormErr = fleet.Run("fleet_chaos_host_kill", storm)
+	})
+	perPkt := perRun / float64(storm.Packets)
+	if stormErr != nil {
+		perPkt = math.Inf(1) // fails the budget; the scenario check names the error
+	}
+	out["fleet_run_per_pkt"] = perPkt
 
 	return out
 }

@@ -13,7 +13,8 @@
 //   - Allocation budgets: measured with testing.AllocsPerRun, must not
 //     exceed the committed budget. Guards the zero-allocation hot paths
 //     (metrics instruments, scheduler, capture loop, disabled flight-
-//     recorder hooks).
+//     recorder hooks) at zero, and a whole fleet run under a hand-set
+//     allocations-per-packet ceiling.
 //   - Traced stability: one scenario re-runs with the flight recorder
 //     attached; its digest must equal the scenario's baseline digest
 //     (the recorder is a pure observer) and two traced runs must export
@@ -112,7 +113,7 @@ func main() {
 	}
 
 	if *update {
-		b := buildBaselines(reports, allocs, perf)
+		b := buildBaselines(reports, keepCeilings(allocs, *baselinesPath), perf)
 		data, err := json.MarshalIndent(b, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -337,10 +338,28 @@ func fleetLedgerCheck(rep bench.RunReport, rec *obs.Record) error {
 	return nil
 }
 
+// keepCeilings returns the measured allocs with every non-zero budget
+// committed at path that the build still meets put back in place of its
+// measurement: those are hand-set ceilings with headroom, which a
+// refresh must not tighten to the exact count.
+func keepCeilings(allocs map[string]float64, path string) map[string]float64 {
+	var prev Baselines
+	if data, err := os.ReadFile(path); err != nil || json.Unmarshal(data, &prev) != nil {
+		return allocs
+	}
+	for name, budget := range prev.Allocs {
+		if got, ok := allocs[name]; ok && budget > 0 && got <= budget {
+			allocs[name] = budget
+		}
+	}
+	return allocs
+}
+
 // buildBaselines snapshots the current build's behavior. Alloc budgets
-// are committed exactly as measured (the hot paths are zero-allocation
-// by design, so any budget > 0 is already meaningful); the perf floor
-// is measured/8 so only order-of-magnitude slowdowns fail.
+// are committed as measured (the hot paths are zero-allocation by
+// design, so any budget > 0 is already meaningful), except the ceilings
+// keepCeilings carries over; the perf floor is measured/8 so only
+// order-of-magnitude slowdowns fail.
 func buildBaselines(reports []bench.RunReport, allocs map[string]float64, perf float64) Baselines {
 	b := Baselines{
 		Comment: "Committed regression-gate state. Refresh after intentional behavior changes with: go run ./cmd/ci-gate -update (then commit the diff).",

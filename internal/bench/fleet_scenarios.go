@@ -105,14 +105,22 @@ func fleetScenario(name, about string, cfg fleet.Config, minDelivery float64) Sc
 	}
 }
 
-// fleetStormSchedule is the headline chaos storm: one permanent host
-// kill, one crash-with-restart, and an aggregation-link flap on a
-// survivor — all while the wire keeps offering at full rate.
-func fleetStormSchedule() faults.Schedule {
-	return faults.Schedule{
-		{Kind: faults.HostCrash, NIC: 1, At: 5 * vtime.Millisecond},
-		{Kind: faults.HostCrash, NIC: 4, At: 12 * vtime.Millisecond, Dur: 8 * vtime.Millisecond},
-		{Kind: faults.AggLinkDown, NIC: 2, At: 8 * vtime.Millisecond, Dur: 600 * vtime.Microsecond},
+// FleetStormConfig is the headline chaos storm (fleet_chaos_host_kill):
+// 6 hosts, 30k frames, one permanent host kill, one crash-with-restart,
+// and an aggregation-link flap on a survivor — all while the wire keeps
+// offering at full rate. cmd/ci-gate's fleet allocation budget runs it
+// too.
+func FleetStormConfig() fleet.Config {
+	return fleet.Config{
+		Hosts:   6,
+		Packets: 30_000,
+		Flows:   256,
+		Seed:    7,
+		Faults: faults.Schedule{
+			{Kind: faults.HostCrash, NIC: 1, At: 5 * vtime.Millisecond},
+			{Kind: faults.HostCrash, NIC: 4, At: 12 * vtime.Millisecond, Dur: 8 * vtime.Millisecond},
+			{Kind: faults.AggLinkDown, NIC: 2, At: 8 * vtime.Millisecond, Dur: 600 * vtime.Microsecond},
+		},
 	}
 }
 
@@ -121,13 +129,7 @@ func fleetStormSchedule() faults.Schedule {
 // exact loss conservation (fleet.Run errors otherwise), zero late
 // merges, and the delivery floor.
 func FleetScenarios() []Scenario {
-	storm := fleet.Config{
-		Hosts:   6,
-		Packets: 30_000,
-		Flows:   256,
-		Seed:    7,
-		Faults:  fleetStormSchedule(),
-	}
+	storm := FleetStormConfig()
 	steady := fleet.Config{
 		Hosts:   4,
 		Packets: 15_000,

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -24,8 +24,11 @@ type aggregator struct {
 	rec    *obs.Recorder
 	health *obs.HealthSampler // nil unless traced; every method nil-safe
 
-	// Per-host merge and health state.
-	buf         [][]Packet // sorted by TS within each host (FIFO link)
+	// Per-host merge and health state. Host h's unmerged packets are
+	// buf[h][head[h]:], sorted by TS (FIFO link); the array is reused
+	// across batches rather than resliced away from its front.
+	buf         [][]Packet
+	head        []int
 	watermark   []vtime.Time
 	lastSeen    []vtime.Time
 	strikes     []int
@@ -36,6 +39,7 @@ type aggregator struct {
 	// Feed state.
 	lastTS vtime.Time
 	ledger *fnv
+	enc    []byte // appendLedger scratch, reused per emitted packet
 	feed   []Packet
 
 	// Books.
@@ -56,6 +60,7 @@ func newAggregator(cfg *Config, sched *vtime.Scheduler, steer *Steering, rec *ob
 	return &aggregator{
 		cfg: cfg, sched: sched, steer: steer, rec: rec,
 		buf:          make([][]Packet, h),
+		head:         make([]int, h),
 		watermark:    make([]vtime.Time, h),
 		lastSeen:     make([]vtime.Time, h),
 		strikes:      make([]int, h),
@@ -93,7 +98,7 @@ func (a *aggregator) receive(at vtime.Time, payload any) {
 				a.rec.DropN(obs.DropStalenessReject, p.Host, -1, 1, at)
 				continue
 			}
-			a.buf[m.host] = append(a.buf[m.host], p)
+			a.push(m.host, p)
 		}
 		if a.quarantined[m.host] {
 			// A batch from a quarantined host proves the quarantine was a
@@ -224,6 +229,19 @@ func (a *aggregator) minWatermark() vtime.Time {
 	return w
 }
 
+// push appends p to host h's merge buffer. When the array is full and
+// at least half of it is already merged, the live tail is copied down
+// over the merged prefix instead of letting append grow the array; the
+// half rule keeps each packet's share of the copying constant.
+func (a *aggregator) push(h int, p Packet) {
+	b, hd := a.buf[h], a.head[h]
+	if hd > 0 && len(b) == cap(b) && 2*hd >= len(b) {
+		b = b[:copy(b, b[hd:])]
+		a.head[h] = 0
+	}
+	a.buf[h] = append(b, p)
+}
+
 // drain emits every buffered packet with TS ≤ w, smallest
 // (TS, host, seq) first — a k-way merge over the per-host FIFO buffers.
 // at is the virtual time the merge runs (the triggering delivery, or
@@ -233,14 +251,14 @@ func (a *aggregator) drain(w, at vtime.Time) {
 	for {
 		best := -1
 		for h := 0; h < a.cfg.Hosts; h++ {
-			if len(a.buf[h]) == 0 || a.buf[h][0].TS > w {
+			if a.head[h] == len(a.buf[h]) || a.buf[h][a.head[h]].TS > w {
 				continue
 			}
 			if best < 0 {
 				best = h
 				continue
 			}
-			ph, pb := a.buf[h][0], a.buf[best][0]
+			ph, pb := &a.buf[h][a.head[h]], &a.buf[best][a.head[best]]
 			if ph.TS < pb.TS || (ph.TS == pb.TS && h < best) {
 				best = h
 			}
@@ -248,8 +266,11 @@ func (a *aggregator) drain(w, at vtime.Time) {
 		if best < 0 {
 			return
 		}
-		a.emit(a.buf[best][0], at)
-		a.buf[best] = a.buf[best][1:]
+		a.emit(a.buf[best][a.head[best]], at)
+		if a.head[best]++; a.head[best] == len(a.buf[best]) {
+			a.buf[best] = a.buf[best][:0]
+			a.head[best] = 0
+		}
 	}
 }
 
@@ -263,10 +284,27 @@ func (a *aggregator) emit(p Packet, at vtime.Time) {
 	a.aggregated++
 	a.aggPerHost[p.Host]++
 	a.rec.FleetEmit(p.Host, p.Seq, at)
-	a.ledger.writeString(fmt.Sprintf("%d|%d|%d|%d|%d;", p.TS, p.Host, p.Seq, p.FlowSeq, p.Len))
+	a.enc = appendLedger(a.enc[:0], p)
+	a.ledger.write(a.enc)
 	if a.cfg.CollectFeed {
 		a.feed = append(a.feed, p)
 	}
+}
+
+// appendLedger appends p's ledger record to b: the bytes of
+// fmt.Sprintf("%d|%d|%d|%d|%d;", p.TS, p.Host, p.Seq, p.FlowSeq, p.Len),
+// which every committed fleet digest hashes, built without fmt.
+func appendLedger(b []byte, p Packet) []byte {
+	b = strconv.AppendInt(b, int64(p.TS), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(p.Host), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, p.Seq, 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, p.FlowSeq, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(p.Len), 10)
+	return append(b, ';')
 }
 
 // finish runs after the executive drains: everything still buffered is
@@ -292,7 +330,7 @@ func (a *aggregator) registerHealth(reg *metrics.Registry) {
 	reg.GaugeFunc("agg_buffered", func() int64 {
 		var n int
 		for h := range a.buf {
-			n += len(a.buf[h])
+			n += len(a.buf[h]) - a.head[h]
 		}
 		return int64(n)
 	})

@@ -30,6 +30,7 @@ type generator struct {
 	interval vtime.Time
 	left     uint64
 	sink     func(frame)
+	stepFn   func() // g.step, bound once so rescheduling does not allocate
 }
 
 // newFlowPool derives the deterministic flow population.
@@ -65,13 +66,16 @@ func newGenerator(sched *vtime.Scheduler, seed uint64, flows []packet.FlowKey,
 		left:     packets,
 		sink:     sink,
 	}
+	g.stepFn = g.step
 	if g.left > 0 {
-		sched.After(interval, g.step)
+		sched.After(interval, g.stepFn)
 	}
 	return g
 }
 
 // step emits one frame and schedules the next.
+//
+//wirecap:hotpath
 func (g *generator) step() {
 	idx := g.r.Intn(len(g.flows))
 	g.seq[idx]++
@@ -83,6 +87,6 @@ func (g *generator) step() {
 	g.left--
 	g.sink(fr)
 	if g.left > 0 {
-		g.sched.After(g.interval, g.step)
+		g.sched.After(g.interval, g.stepFn)
 	}
 }

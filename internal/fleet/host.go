@@ -29,8 +29,9 @@ type host struct {
 
 	// Capture state (lost on crash).
 	busyUntil   vtime.Time
-	batch       []Packet
+	batch       []Packet // nil until the batch's first capture
 	flushArmed  bool
+	flushFn     func() // h.flushTimer, bound once
 	incarnation int
 	capSeq      uint64 // per-host capture sequence, survives restarts
 	sinceAnl    uint64
@@ -40,6 +41,7 @@ type host struct {
 	pending    []outMsg
 	attempt    int
 	retryArmed bool
+	retryFn    func() // the pump retry timer, bound once
 	degraded   bool
 
 	// Books.
@@ -78,6 +80,11 @@ func newHost(id int, cfg *Config, sched *vtime.Scheduler, steer *Steering, rec *
 			BurstBytes:          cfg.LinkBurst,
 			PerTransferOverhead: cfg.MsgOverhead,
 		}),
+	}
+	h.flushFn = h.flushTimer
+	h.retryFn = func() {
+		h.retryArmed = false
+		h.pump()
 	}
 	return h
 }
@@ -119,6 +126,9 @@ func (h *host) offer(fr frame) {
 	h.capSeq++
 	h.received++
 	h.rec.JourneyCapture(h.capSeq, now)
+	if h.batch == nil {
+		h.batch = make([]Packet, 0, h.cfg.BatchPackets)
+	}
 	h.batch = append(h.batch, Packet{
 		Host: h.id, Flow: fr.flow, FlowSeq: fr.flowSeq,
 		Seq: h.capSeq, TS: now, Len: fr.len,
@@ -127,7 +137,7 @@ func (h *host) offer(fr frame) {
 		h.flush()
 	} else if !h.flushArmed {
 		h.flushArmed = true
-		h.sched.After(h.cfg.FlushInterval, h.flushTimer)
+		h.sched.After(h.cfg.FlushInterval, h.flushFn)
 	}
 	if h.cfg.AnalyticsEvery > 0 {
 		if h.sinceAnl++; h.sinceAnl >= h.cfg.AnalyticsEvery {
@@ -190,13 +200,13 @@ func (h *host) enqueue(m outMsg) {
 		}
 		if shed >= 0 {
 			h.anlShed++
-			h.pending = append(h.pending[:shed:shed], h.pending[shed+1:]...)
+			h.popPending(shed)
 			if shed == 0 {
 				h.attempt = 0
 			}
 		} else {
 			h.dropBatch(h.pending[0].pkts, h.sched.Now())
-			h.pending = h.pending[1:]
+			h.popPending(0)
 			h.attempt = 0
 		}
 	}
@@ -243,10 +253,7 @@ func (h *host) pump() {
 			}
 			h.retryArmed = true
 			h.setDegraded(true)
-			h.sched.After(d, func() {
-				h.retryArmed = false
-				h.pump()
-			})
+			h.sched.After(d, h.retryFn)
 			return
 		}
 		switch m.kind {
@@ -264,7 +271,7 @@ func (h *host) pump() {
 				processed: m.proc,
 			})
 		}
-		h.pending = h.pending[1:]
+		h.popPending(0)
 		h.attempt = 0
 	}
 	h.setDegraded(false)
@@ -280,7 +287,16 @@ func (h *host) dropHead() {
 	} else {
 		h.anlShed++
 	}
-	h.pending = h.pending[1:]
+	h.popPending(0)
+}
+
+// popPending removes pending message i, shifting the tail down in place
+// so the queue keeps its array instead of reslicing away from its front
+// (the queue is bounded by HardCap, so the shift is short).
+func (h *host) popPending(i int) {
+	n := i + copy(h.pending[i:], h.pending[i+1:])
+	h.pending[n] = outMsg{}
+	h.pending = h.pending[:n]
 }
 
 // dropBatch charges one queued capture batch to InFlightDropped: books,
