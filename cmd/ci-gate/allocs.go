@@ -123,8 +123,9 @@ func measureAllocs() map[string]float64 {
 
 	// The fleet tier end to end: one fleet.Run of the host-kill storm,
 	// construction and report included, per offered packet. The capture,
-	// merge and ledger path allocates nothing per packet; what remains is
-	// per batch (the batch array, the mailbox payload) and per run.
+	// merge and ledger path allocates nothing per packet and batch arrays
+	// are recycled; what remains is per batch (the mailbox payload) and
+	// per run.
 	storm := bench.FleetStormConfig()
 	var stormErr error
 	perRun := testing.AllocsPerRun(1, func() {

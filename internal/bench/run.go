@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nic"
 	"repro/internal/obs"
-	"repro/internal/packet"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -181,15 +180,13 @@ func RunBorder(cfg BorderRun) (Result, []uint64, error) {
 	})
 	st := trace.Drive(sched, n, src, nil)
 
-	// Count per-queue offered load with an independent RSS classifier so
-	// Table 1 can report per-queue rates.
-	offered := make([]uint64, cfg.Queues)
-	countSrc := trace.NewBorder(trace.BorderConfig{
-		Queues: cfg.Queues, Duration: dur, Seed: cfg.Seed,
-	})
-	countPerQueue(countSrc, cfg.Queues, offered)
-
 	sched.Run()
+	// Per-queue offered load, for Table 1's per-queue rates: every frame
+	// the NIC steered to a ring was either received or dropped there.
+	offered := make([]uint64, cfg.Queues)
+	for q, rx := range n.Stats().Rx {
+		offered[q] = rx.Received + rx.Drops()
+	}
 	res := Result{
 		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(), Handler: h,
 		Metrics: reg, End: sched.Now(),
@@ -200,24 +197,6 @@ func RunBorder(cfg BorderRun) (Result, []uint64, error) {
 		}
 	}
 	return res, offered, nil
-}
-
-// countPerQueue applies the NIC's default RSS classification to every
-// frame of src, tallying per-queue offered load.
-func countPerQueue(src trace.Source, queues int, out []uint64) {
-	var dec packet.Decoded
-	for {
-		frame, _, ok := src.Next()
-		if !ok {
-			return
-		}
-		if err := packet.Decode(frame, &dec); err != nil {
-			out[0]++
-			continue
-		}
-		h := nic.RSSHash(nic.DefaultRSSKey[:], dec.Flow)
-		out[int(h%nic.IndirectionEntries)%queues]++
-	}
 }
 
 // ScalabilityRun is the Figure 14 setup: two NICs on one saturable bus,

@@ -23,6 +23,7 @@ type aggregator struct {
 	steer  *Steering      // authoritative table
 	rec    *obs.Recorder
 	health *obs.HealthSampler // nil unless traced; every method nil-safe
+	pool   *batchPool         // where a received batch's array goes back
 
 	// Per-host merge and health state. Host h's unmerged packets are
 	// buf[h][head[h]:], sorted by TS (FIFO link); the array is reused
@@ -55,10 +56,10 @@ type aggregator struct {
 	anlAgg        uint64
 }
 
-func newAggregator(cfg *Config, sched *vtime.Scheduler, steer *Steering, rec *obs.Recorder) *aggregator {
+func newAggregator(cfg *Config, sched *vtime.Scheduler, steer *Steering, rec *obs.Recorder, pool *batchPool) *aggregator {
 	h := cfg.Hosts
 	return &aggregator{
-		cfg: cfg, sched: sched, steer: steer, rec: rec,
+		cfg: cfg, sched: sched, steer: steer, rec: rec, pool: pool,
 		buf:          make([][]Packet, h),
 		head:         make([]int, h),
 		watermark:    make([]vtime.Time, h),
@@ -100,6 +101,8 @@ func (a *aggregator) receive(at vtime.Time, payload any) {
 			}
 			a.push(m.host, p)
 		}
+		// Every packet now lives in the merge buffer, so the array is dead.
+		a.pool.put(m.pkts)
 		if a.quarantined[m.host] {
 			// A batch from a quarantined host proves the quarantine was a
 			// false positive (partition heal, not death): readmit it on the

@@ -3,9 +3,11 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/vtime"
 )
@@ -45,7 +47,7 @@ type mergeHarness struct {
 
 func newMergeHarness(t *testing.T, hosts int) *mergeHarness {
 	cfg := Config{Hosts: hosts, CollectFeed: true, SuspectAfter: vtime.Time(1) << 60}.withDefaults()
-	a := newAggregator(&cfg, vtime.NewScheduler(), NewSteering(hosts), nil)
+	a := newAggregator(&cfg, vtime.NewScheduler(), NewSteering(hosts), nil, &batchPool{size: cfg.BatchPackets})
 	reg := metrics.NewRegistry()
 	a.registerHealth(reg)
 	return &mergeHarness{t: t, a: a, reg: reg, seq: make([]uint64, hosts)}
@@ -170,4 +172,65 @@ func TestMergeMatchesSortOracle(t *testing.T) {
 		t.Fatalf("resets %d, compactions %d: both branches must run", resets, compactions)
 	}
 	m.finish()
+}
+
+// TestRecycledBatchesArePoisoned overwrites every batch array with a
+// sentinel the moment it goes back on the free list. A run whose books,
+// digest or feed change under the poison read a packet through an alias
+// that outlived its batch. The host-kill storm recycles on receive and
+// on crash; a partition outlasting the retry budget adds head drops.
+func TestRecycledBatchesArePoisoned(t *testing.T) {
+	storm := Config{
+		Hosts: 6, Packets: 30_000, Flows: 256, Seed: 7, CollectFeed: true,
+		Faults: faults.Schedule{
+			{Kind: faults.HostCrash, NIC: 1, At: 5 * vtime.Millisecond},
+			{Kind: faults.HostCrash, NIC: 4, At: 12 * vtime.Millisecond, Dur: 8 * vtime.Millisecond},
+			{Kind: faults.AggLinkDown, NIC: 2, At: 8 * vtime.Millisecond, Dur: 600 * vtime.Microsecond},
+		},
+	}
+	partition := testConfig()
+	partition.MaxAttempts = 2 // give up on the head batch within the window
+	partition.Faults = faults.Schedule{
+		{Kind: faults.AggLinkDown, NIC: 1, At: 2 * vtime.Millisecond, Dur: 4 * vtime.Millisecond},
+	}
+	// Far-future stamps and an impossible host, so a stale read moves the
+	// merge frontier or indexes out of range rather than passing quietly.
+	poison := Packet{Host: -1, FlowSeq: math.MaxUint64, Seq: math.MaxUint64, TS: vtime.Time(1) << 61, Len: -1}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		lost func(Report) uint64 // the drop path the case must exercise
+	}{
+		{"host_kill_storm", storm, func(r Report) uint64 { return r.HostLost }},
+		{"retry_exhaustion", partition, func(r Report) uint64 { return r.InFlightDropped - r.StaleRejected }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean, err := Run(tc.name, tc.cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			recycled := 0
+			onRecycle = func(b []Packet) {
+				recycled++
+				for i := range b {
+					b[i] = poison
+				}
+			}
+			t.Cleanup(func() { onRecycle = nil })
+			poisoned, err := Run(tc.name, tc.cfg)
+			if err != nil {
+				t.Fatalf("poisoned Run: %v", err)
+			}
+			if recycled == 0 || tc.lost(clean.Report) == 0 {
+				t.Fatalf("recycled %d arrays, lost %d packets: the case must recycle on a drop path",
+					recycled, tc.lost(clean.Report))
+			}
+			if !reflect.DeepEqual(poisoned.Report, clean.Report) {
+				t.Fatalf("poison changed the report:\n clean    %+v\n poisoned %+v", clean.Report, poisoned.Report)
+			}
+			if !reflect.DeepEqual(poisoned.Feed, clean.Feed) {
+				t.Fatal("poison changed the feed")
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"repro/internal/packet"
 )
@@ -76,17 +77,18 @@ func windowAt(key []byte, g int) uint32 {
 	return uint32(v >> (32 - uint(g%8)))
 }
 
+// newToeplitzTable fills each row by linearity: entry v is entry v with
+// its lowest set bit cleared, XOR that bit's key window, so a row costs
+// 255 XORs rather than 8×256 tests.
 func newToeplitzTable(key []byte) *toeplitzTable {
 	t := new(toeplitzTable)
-	for i := 0; i < 12; i++ {
-		for k := 0; k < 8; k++ {
-			w := windowAt(key, i*8+k)
-			mask := 1 << uint(7-k)
-			for v := 0; v < 256; v++ {
-				if v&mask != 0 {
-					t[i][v] ^= w
-				}
-			}
+	for i := range t {
+		var w [8]uint32 // w[b]: the window bit b (value 1<<b) selects
+		for b := range w {
+			w[b] = windowAt(key, i*8+7-b)
+		}
+		for v := 1; v < 256; v++ {
+			t[i][v] = t[i][v&(v-1)] ^ w[bits.TrailingZeros8(uint8(v))]
 		}
 	}
 	return t

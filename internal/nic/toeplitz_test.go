@@ -20,6 +20,16 @@ func TestToeplitzTableMatchesReference(t *testing.T) {
 	keys = append(keys, alt)
 	for _, key := range keys {
 		tt := newToeplitzTable(key[:])
+		// Every entry: input byte i set to v, every other byte zero.
+		for i := range tt {
+			for v := range tt[i] {
+				var in [12]byte
+				in[i] = byte(v)
+				if got, want := tt[i][v], Toeplitz(key[:], in[:]); got != want {
+					t.Fatalf("table[%d][%#x] = %#x, reference %#x", i, v, got, want)
+				}
+			}
+		}
 		for i := 0; i < 5000; i++ {
 			proto := packet.ProtoUDP
 			switch i % 3 {
