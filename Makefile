@@ -1,7 +1,8 @@
 # Developer checks for the WireCAP reproduction. `make ci` mirrors the
 # GitHub Actions pipeline exactly: formatting, vet, build, tests, the
-# race detector across every package, a time-bounded fuzz pass over the
-# BPF backend-equivalence property, and the deterministic regression
+# race detector across every package, time-bounded fuzz passes over the
+# BPF backend and Internet-checksum equivalence properties, and the
+# deterministic regression
 # gate (cmd/ci-gate against the committed baselines.json). `make check`
 # is the quick subset for inner-loop development.
 #
@@ -85,11 +86,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Time-bounded coverage-guided fuzzing of the BPF backend-equivalence
-# property: interpreter, flattened bytecode, and fused predicates must
-# agree on every (expression, packet) the fuzzer finds.
+# Time-bounded coverage-guided fuzzing of two equivalence properties:
+# the BPF backends (interpreter, flattened bytecode, and fused
+# predicates must agree on every (expression, packet) the fuzzer finds),
+# and the wide Internet checksum against its 16-bit-word reference.
 fuzz:
 	$(GO) test -fuzz=FuzzBackendsAgree -fuzztime=30s ./internal/bpf
+	$(GO) test -fuzz='^FuzzChecksumMatchesReference$$' -fuzztime=30s ./internal/packet
 
 gate:
 	$(GO) run ./cmd/ci-gate

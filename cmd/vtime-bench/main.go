@@ -2,11 +2,14 @@
 // writes the results to BENCH_vtime.json: scheduler microbenchmarks
 // (schedule, cancel, and the self-rescheduling schedule+step cycle, each
 // against one million pending events), an end-to-end wall-clock run of
-// bench.RunConstant, and the filter_path family (filterbench.go), whose
+// bench.RunConstant, the border generator alone over the table1 trace,
+// and the filter_path family (filterbench.go), whose
 // entries carry an accept-matrix digest and the measuring machine's
 // GOMAXPROCS. Scheduler entries carry the
 // corresponding measurement taken at the container/heap-based scheduler
-// this engine replaced, so the file documents the before/after directly.
+// this engine replaced, and border_next_4s the generator before its
+// wide checksum, typed sort and header-only zeroing, so the file
+// documents the before/after directly.
 //
 // Usage:
 //
@@ -28,18 +31,22 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
-// baseline holds the same benchmarks measured at the pre-rewrite revision
-// (container/heap scheduler, per-event closure allocation), on the same
-// class of host this tool runs on. They are retained here so regenerating
-// the JSON keeps the before/after comparison.
+// baseline holds the same benchmarks measured at the revision each one's
+// optimization replaced (for the scheduler entries, the container/heap
+// scheduler with per-event closure allocation; for border_next_4s, the
+// 16-bit checksum loop, sort.Slice and full-frame zeroing), on the same
+// class of host this tool runs on. They are retained here so
+// regenerating the JSON keeps the before/after comparison.
 var baseline = map[string]Entry{
 	"schedule_1m_pending":      {NsPerOp: 347.5, AllocsPerOp: 1, BytesPerOp: 57},
 	"cancel_1m_pending":        {NsPerOp: 150.4, AllocsPerOp: 1, BytesPerOp: 48},
 	"schedule_step_1m_pending": {NsPerOp: 472.8, AllocsPerOp: 1, BytesPerOp: 47},
 	"run_constant_200k":        {NsPerOp: 129.28e6, SimPktsPerSec: 1_547_001},
+	"border_next_4s":           {NsPerOp: 394.96e6, AllocsPerOp: 1273, BytesPerOp: 780416},
 }
 
 // Entry is one benchmark measurement.
@@ -141,6 +148,24 @@ func benchRunConstant(b *testing.B) {
 		}
 		if res.Sent != runConstantPackets {
 			b.Fatalf("sent %d packets, want %d", res.Sent, runConstantPackets)
+		}
+	}
+}
+
+// benchBorderNext drives the table1_border6q generator (the 4 s border
+// profile on 6 RSS queues, seed 11, about 558k frames) through Next to
+// the end: frame synthesis alone, with no NIC or engine behind it.
+func benchBorderNext(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src := trace.NewBorder(trace.BorderConfig{Queues: 6, Duration: 4 * vtime.Second, Seed: 11})
+		for {
+			if _, _, ok := src.Next(); !ok {
+				break
+			}
+		}
+		if src.Emitted() == 0 {
+			b.Fatal("border generator emitted nothing")
 		}
 	}
 }
@@ -259,6 +284,7 @@ func main() {
 		measure("cancel_1m_pending", benchCancel),
 		measure("schedule_step_1m_pending", benchScheduleStep),
 		measure("run_constant_200k", benchRunConstant),
+		measure("border_next_4s", benchBorderNext),
 	}
 	filterRecords, speedups := filterPathRecords()
 	records = append(records, filterRecords...)

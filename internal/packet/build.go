@@ -51,7 +51,10 @@ const (
 // buf and returns the frame slice; TCP segments carry PSH|ACK and a zero
 // sequence number (use BuildTCPSeg for stateful sessions). buf must have
 // capacity for the frame (see FrameLenFor); Build panics otherwise, since
-// generators size buffers up front. Checksums (IPv4 header, UDP, TCP) are
+// generators size buffers up front. buf may hold stale bytes: Build zeroes
+// the headers and the minimum-frame padding and copies the payload over
+// the rest, so a generator can reuse one scratch buffer for every frame
+// (payload must not overlap buf). Checksums (IPv4 header, UDP, TCP) are
 // filled in correctly.
 func (b *Builder) Build(buf []byte, flow FlowKey, payload []byte) []byte {
 	return b.build(buf, flow, payload, 0, TCPPsh|TCPAck)
@@ -77,10 +80,17 @@ func (b *Builder) build(buf []byte, flow FlowKey, payload []byte, seq uint32, tc
 	if cap(buf) < n {
 		panic(fmt.Sprintf("packet: Build buffer cap %d < frame len %d", cap(buf), n))
 	}
-	frame := buf[:n]
-	for i := range frame {
-		frame[i] = 0
+	l4len := UDPHeaderLen
+	if flow.Proto == ProtoTCP {
+		l4len = TCPHeaderLen
 	}
+	// Zero only what no write below covers: the headers and the
+	// minimum-frame padding after the payload. The payload copy fills
+	// the bytes in between, so a reused buffer leaks nothing.
+	hdr := EthernetHeaderLen + IPv4HeaderLen + l4len
+	frame := buf[:n]
+	clear(frame[:hdr])
+	clear(frame[hdr+len(payload):])
 
 	// Ethernet.
 	copy(frame[0:6], b.DstMAC[:])
@@ -88,10 +98,6 @@ func (b *Builder) build(buf []byte, flow FlowKey, payload []byte, seq uint32, tc
 	binary.BigEndian.PutUint16(frame[12:14], EtherTypeIPv4)
 
 	// IPv4.
-	l4len := UDPHeaderLen
-	if flow.Proto == ProtoTCP {
-		l4len = TCPHeaderLen
-	}
 	ip := frame[EthernetHeaderLen:]
 	totalLen := IPv4HeaderLen + l4len + len(payload)
 	ip[0] = 0x45 // version 4, IHL 5
@@ -100,7 +106,6 @@ func (b *Builder) build(buf []byte, flow FlowKey, payload []byte, seq uint32, tc
 	ip[9] = flow.Proto
 	copy(ip[12:16], flow.Src[:])
 	copy(ip[16:20], flow.Dst[:])
-	binary.BigEndian.PutUint16(ip[10:12], 0)
 	csum := Checksum(ip[:IPv4HeaderLen])
 	binary.BigEndian.PutUint16(ip[10:12], csum)
 
@@ -112,7 +117,6 @@ func (b *Builder) build(buf []byte, flow FlowKey, payload []byte, seq uint32, tc
 		binary.BigEndian.PutUint16(l4[2:4], flow.DstPort)
 		binary.BigEndian.PutUint16(l4[4:6], uint16(UDPHeaderLen+len(payload)))
 		copy(l4[UDPHeaderLen:], payload)
-		binary.BigEndian.PutUint16(l4[6:8], 0)
 		udpCsum := l4Checksum(flow, l4[:UDPHeaderLen+len(payload)])
 		if udpCsum == 0 {
 			udpCsum = 0xffff // RFC 768: transmitted as all ones
@@ -126,32 +130,16 @@ func (b *Builder) build(buf []byte, flow FlowKey, payload []byte, seq uint32, tc
 		l4[13] = tcpFlags
 		binary.BigEndian.PutUint16(l4[14:16], 65535)
 		copy(l4[TCPHeaderLen:], payload)
-		binary.BigEndian.PutUint16(l4[16:18], 0)
 		binary.BigEndian.PutUint16(l4[16:18], l4Checksum(flow, l4[:TCPHeaderLen+len(payload)]))
 	}
 	return frame
 }
 
-// l4Checksum computes the TCP/UDP checksum including the IPv4 pseudo-header.
+// l4Checksum computes the TCP/UDP checksum of seg, whose checksum field
+// must be zero, including the IPv4 pseudo-header: the two addresses as
+// 32-bit words, the protocol and the segment length.
 func l4Checksum(flow FlowKey, seg []byte) uint16 {
-	var sum uint32
-	addHalf := func(v uint16) { sum += uint32(v) }
-	addHalf(binary.BigEndian.Uint16(flow.Src[0:2]))
-	addHalf(binary.BigEndian.Uint16(flow.Src[2:4]))
-	addHalf(binary.BigEndian.Uint16(flow.Dst[0:2]))
-	addHalf(binary.BigEndian.Uint16(flow.Dst[2:4]))
-	addHalf(uint16(flow.Proto))
-	addHalf(uint16(len(seg)))
-	b := seg
-	for len(b) >= 2 {
-		sum += uint32(b[0])<<8 | uint32(b[1])
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
+	pseudo := uint64(flow.Src.Uint32()) + uint64(flow.Dst.Uint32()) +
+		uint64(flow.Proto) + uint64(uint16(len(seg)))
+	return checksum(pseudo, seg)
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // EtherType values used by the simulator.
@@ -231,17 +232,41 @@ func decodeL4(frame []byte, out *Decoded) error {
 }
 
 // Checksum computes the Internet checksum (RFC 1071) over b.
-func Checksum(b []byte) uint16 {
-	var sum uint32
+func Checksum(b []byte) uint16 { return checksum(0, b) }
+
+// checksum returns the Internet checksum of b with sum (the caller's
+// pre-added words, such as a pseudo-header) folded in. It adds b as
+// big-endian 64-bit words with end-around carry, four per iteration.
+// Since 2^16 ≡ 1 mod 2^16-1, that sum folds to the same 16 bits as the
+// RFC 1071 loop over 16-bit words, and it is zero only when every added
+// word is, so a nonzero sum never folds to the negative zero 0x0000
+// before the final complement. An odd final byte is the high half of a
+// zero-padded word.
+func checksum(sum uint64, b []byte) uint16 {
+	var c uint64
+	for len(b) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), c)
+		b = b[32:]
+	}
+	for len(b) >= 8 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
 	for len(b) >= 2 {
-		sum += uint32(b[0])<<8 | uint32(b[1])
+		sum, c = bits.Add64(sum, uint64(binary.BigEndian.Uint16(b)), c)
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		sum, c = bits.Add64(sum, uint64(b[0])<<8, c)
 	}
+	// Fold the pending carry (2^64 ≡ 1) and the two 32-bit halves
+	// (2^32 ≡ 1); the result fits in 33 bits.
+	sum = sum>>32 + sum&0xffffffff + c
 	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
 }

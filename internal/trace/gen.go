@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/nic"
 	"repro/internal/packet"
@@ -181,7 +182,13 @@ type borderFlow struct {
 	open bool
 }
 
-// BorderSource generates the border-router workload bin by bin.
+// BorderSource generates the border-router workload bin by bin: when a
+// bin runs out it plans the next 10 ms of arrivals (per-queue Poisson
+// counts, bursts, clusters), sorts them by timestamp, and then builds
+// one frame per Next call into a single reused scratch buffer. The
+// returned frame is valid until the next call. Payloads are zero bytes;
+// TCP flows carry SYN/data/FIN session state. The stream is a pure
+// function of the config.
 type BorderSource struct {
 	cfg   BorderConfig
 	r     *vtime.Rand
@@ -198,16 +205,23 @@ type BorderSource struct {
 	emitted uint64
 }
 
+// pendingPkt is one planned arrival of the current bin. It is 16 bytes
+// so the per-bin sort moves little per swap; queue, flow index and frame
+// size all fit 16 bits (at most 6 queues by default, 48 flows per queue,
+// 1514-byte frames).
 type pendingPkt struct {
 	ts    vtime.Time
-	queue int
-	flow  int
-	size  int
+	queue uint16
+	flow  uint16
+	size  uint16
 }
 
 // NewBorder builds the workload generator.
 func NewBorder(cfg BorderConfig) *BorderSource {
 	cfg.setDefaults()
+	if cfg.Queues > math.MaxUint16 {
+		panic(fmt.Sprintf("trace: %d queues exceed the border generator's 16-bit queue index", cfg.Queues))
+	}
 	s := &BorderSource{
 		cfg:     cfg,
 		r:       vtime.NewRand(cfg.Seed + 2),
@@ -300,7 +314,9 @@ func (s *BorderSource) frameSize() int {
 	}
 }
 
-// synthesize fills s.pending with the packets of bin b, time-sorted.
+// synthesize fills s.pending with the packets of bin b in generation
+// order and rewinds the read position; sortPending puts them in time
+// order.
 func (s *BorderSource) synthesize(b int) {
 	s.pending = s.pending[:0]
 	t0 := vtime.Time(b) * binLen
@@ -343,16 +359,28 @@ func (s *BorderSource) synthesize(b int) {
 			if ts >= t0+binLen {
 				ts = t0 + binLen - 1
 			}
+			// pickFlow draws from the RNG before frameSize: the field
+			// order here is the draw order.
 			s.pending = append(s.pending, pendingPkt{
 				ts:    ts,
-				queue: q,
-				flow:  s.pickFlow(q),
-				size:  s.frameSize(),
+				queue: uint16(q),
+				flow:  uint16(s.pickFlow(q)),
+				size:  uint16(s.frameSize()),
 			})
 		}
 	}
-	sort.Slice(s.pending, func(i, j int) bool { return s.pending[i].ts < s.pending[j].ts })
 	s.pi = 0
+}
+
+// sortPending orders a bin's arrivals by timestamp. Ties are common
+// (packets i and i+64 of a cluster, and packets clamped to the bin's
+// end), and their order is part of the emitted stream that every digest
+// downstream covers. slices.SortFunc is the same unstable pdqsort as
+// sort.Slice, making the same comparisons, so it leaves ties where
+// sort.Slice does (TestSortPendingMatchesSortSlice) without the
+// reflect-based swapper. A stable sort would reorder them.
+func sortPending(p []pendingPkt) {
+	slices.SortFunc(p, func(a, b pendingPkt) int { return cmp.Compare(a.ts, b.ts) })
 }
 
 // pickFlow skews selection toward the head of the pool (elephant flows).
@@ -368,6 +396,7 @@ func (s *BorderSource) Next() ([]byte, vtime.Time, bool) {
 			return nil, 0, false
 		}
 		s.synthesize(s.bin)
+		sortPending(s.pending)
 		s.bin++
 	}
 	p := s.pending[s.pi]
@@ -377,7 +406,7 @@ func (s *BorderSource) Next() ([]byte, vtime.Time, bool) {
 	if fl.flow.Proto == packet.ProtoTCP {
 		hdr = packet.EthernetHeaderLen + packet.IPv4HeaderLen + packet.TCPHeaderLen
 	}
-	payload := p.size - hdr
+	payload := int(p.size) - hdr
 	if payload < 0 {
 		payload = 0
 	}
