@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,6 +93,11 @@ func TestExtension40GEQueueScaling(t *testing.T) {
 	}
 }
 
+// TestAblationsRunner pins every ablation and extension table (A1-A4,
+// E1, E2) byte for byte: the gate digests none of them. The golden file
+// is the output of
+//
+//	go run ./cmd/experiments -run ablations -scale 0.05 -pmax 100000 -scalepkts 100000
 func TestAblationsRunner(t *testing.T) {
 	var buf bytes.Buffer
 	opt := fast
@@ -99,10 +105,12 @@ func TestAblationsRunner(t *testing.T) {
 	if err := Ablations(opt, &buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Ablation A1", "Ablation A2", "Ablation A3", "Extension E1"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("missing %s", want)
-		}
+	want, err := os.ReadFile("testdata/ablations.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("ablation tables differ from testdata/ablations.golden:\n%s", buf.String())
 	}
 }
 
