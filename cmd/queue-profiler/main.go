@@ -14,40 +14,45 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/app"
+	"repro/internal/bench"
 	"repro/internal/engines"
-	"repro/internal/nic"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
 func main() {
-	queues := flag.Int("queues", 6, "receive queues")
-	seconds := flag.Float64("seconds", 32, "trace duration")
-	seed := flag.Uint64("seed", 2014, "workload seed")
-	pcapPath := flag.String("pcap", "", "replay this pcap file instead of the synthetic border trace")
-	csv := flag.Bool("csv", false, "emit the raw per-bin time series as CSV")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "queue-profiler:", err)
+		os.Exit(1)
+	}
+}
 
-	sched := vtime.NewScheduler()
-	n := nic.New(sched, nic.Config{ID: 0, RxQueues: *queues, RingSize: 1024, Promiscuous: true})
-	prof := app.NewQueueProfiler(*queues)
-	engines.NewDNA(sched, n, engines.DefaultCosts(), prof)
+// run profiles the queues as the flags in args say and writes the
+// report to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("queue-profiler", flag.ExitOnError)
+	queues := fs.Int("queues", 6, "receive queues")
+	seconds := fs.Float64("seconds", 32, "trace duration")
+	seed := fs.Uint64("seed", 2014, "workload seed")
+	pcapPath := fs.String("pcap", "", "replay this pcap file instead of the synthetic border trace")
+	csv := fs.Bool("csv", false, "emit the raw per-bin time series as CSV")
+	fs.Parse(args)
 
 	var src trace.Source
 	if *pcapPath != "" {
 		f, err := os.Open(*pcapPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "queue-profiler:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		rd, err := trace.NewReader(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "queue-profiler:", err)
-			os.Exit(1)
+			return err
 		}
 		src = trace.NewPcapSource(rd)
 	} else {
@@ -57,17 +62,22 @@ func main() {
 			Seed:     *seed,
 		})
 	}
-	st := trace.Drive(sched, n, src, nil)
-	sched.Run()
+	prof := app.NewQueueProfiler(*queues)
+	res, err := bench.Host{
+		Spec: bench.DNA, Queues: *queues, Source: src,
+		Handler: func(*metrics.Registry) engines.Handler { return prof },
+	}.Run()
+	if err != nil {
+		return err
+	}
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
+	bw := bufio.NewWriter(w)
 	if *csv {
-		fmt.Fprint(w, "bin_start_s")
+		fmt.Fprint(bw, "bin_start_s")
 		for q := 0; q < *queues; q++ {
-			fmt.Fprintf(w, ",queue%d", q)
+			fmt.Fprintf(bw, ",queue%d", q)
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(bw)
 		bins := 0
 		for q := 0; q < *queues; q++ {
 			if len(prof.Series(q)) > bins {
@@ -75,23 +85,24 @@ func main() {
 			}
 		}
 		for b := 0; b < bins; b++ {
-			fmt.Fprintf(w, "%.2f", float64(b)*0.01)
+			fmt.Fprintf(bw, "%.2f", float64(b)*0.01)
 			for q := 0; q < *queues; q++ {
 				v := uint64(0)
 				if s := prof.Series(q); b < len(s) {
 					v = s[b]
 				}
-				fmt.Fprintf(w, ",%d", v)
+				fmt.Fprintf(bw, ",%d", v)
 			}
-			fmt.Fprintln(w)
+			fmt.Fprintln(bw)
 		}
-		return
+		return bw.Flush()
 	}
-	fmt.Fprintf(w, "replayed %d packets over %v\n\n", st.Sent, st.Last)
-	fmt.Fprintf(w, "%-6s %12s %12s %16s\n", "queue", "packets", "mean p/s", "peak pkts/10ms")
+	fmt.Fprintf(bw, "replayed %d packets over %v\n\n", res.Sent, res.Last)
+	fmt.Fprintf(bw, "%-6s %12s %12s %16s\n", "queue", "packets", "mean p/s", "peak pkts/10ms")
 	for q := 0; q < *queues; q++ {
 		total := prof.Total(q)
-		fmt.Fprintf(w, "%-6d %12d %12.0f %16d\n",
-			q, total, float64(total)/st.Last.Seconds(), prof.Peak(q))
+		fmt.Fprintf(bw, "%-6d %12d %12.0f %16d\n",
+			q, total, float64(total)/res.Last.Seconds(), prof.Peak(q))
 	}
+	return bw.Flush()
 }

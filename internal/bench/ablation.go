@@ -7,6 +7,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/engines"
+	"repro/internal/metrics"
 	"repro/internal/nic"
 	"repro/internal/packet"
 	"repro/internal/trace"
@@ -31,39 +32,24 @@ func AblationFlush(opt Options) (Table, error) {
 	}
 	for _, timeout := range []vtime.Time{-1, 500 * vtime.Microsecond,
 		2 * vtime.Millisecond, 10 * vtime.Millisecond} {
-		sched := vtime.NewScheduler()
-		n := nic.New(sched, nic.Config{ID: 0, RxQueues: 1, RingSize: 1024, Promiscuous: true})
-		costs := engines.DefaultCosts()
-		h := app.NewPktHandler(0, costs, 1)
-		h.Clock = sched
-		eng, err := core.New(sched, n, core.Config{
-			M: 256, R: 100, FlushTimeout: timeout, Costs: costs,
-		}, h)
+		res, err := Host{
+			Spec: WireCAPB(256, 100), Queues: 1, Delays: true,
+			Core: func(c *core.Config) { c.FlushTimeout = timeout },
+			Source: trace.NewConstantRate(trace.ConstantRateConfig{
+				Packets: 5000, LineRateBps: 5000 * 84 * 8, Seed: opt.Seed, // 5 kp/s for 1 s
+			}),
+		}.Run()
 		if err != nil {
 			return Table{}, err
 		}
-		src := trace.NewConstantRate(trace.ConstantRateConfig{
-			Packets: 5000, LineRateBps: 5000 * 84 * 8, Seed: opt.Seed, // 5 kp/s for 1 s
-		})
-		st := trace.Drive(sched, n, src, nil)
-		sched.Run()
 		label := timeout.String()
 		if timeout < 0 {
 			label = "disabled"
 		}
-		p50, p99, max := "-", "-", "-"
-		if h.Processed > 0 {
-			p50 = vtime.Time(h.DelayHist.Percentile(0.5)).String()
-			p99 = vtime.Time(h.DelayHist.Percentile(0.99)).String()
-			max = h.MaxDelay.String()
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%d", h.Processed),
-			fmt.Sprintf("%d", st.Sent),
-			p50, p99, max,
-			fmt.Sprintf("%d", eng.QueueStats(0).ChunksFlushed),
-		})
+		row := []string{label, fmt.Sprintf("%d", res.Handler.Processed), fmt.Sprintf("%d", res.Sent)}
+		row = append(row, delayCells(res.Handler)...)
+		t.Rows = append(t.Rows, append(row,
+			fmt.Sprintf("%d", res.Engine.(*core.Engine).QueueStats(0).ChunksFlushed)))
 	}
 	return t, nil
 }
@@ -86,30 +72,21 @@ func AblationOffloadPolicy(opt Options) (Table, error) {
 		{"random", core.OffloadRandom},
 	}
 	for _, pol := range policies {
-		sched := vtime.NewScheduler()
-		n := nic.New(sched, nic.Config{ID: 0, RxQueues: 4, RingSize: 1024, Promiscuous: true})
-		costs := engines.DefaultCosts()
-		h := app.NewPktHandler(300, costs, 4)
-		eng, err := core.New(sched, n, core.Config{
-			M: 256, R: 100, Mode: core.Advanced, Policy: pol.p, Costs: costs, Seed: opt.Seed,
-		}, h)
+		res, err := Host{
+			Spec: WireCAPA(256, 100, 0), Queues: 4, X: 300,
+			Core: func(c *core.Config) { c.Policy, c.Seed = pol.p, opt.Seed },
+			Source: trace.NewConstantRate(trace.ConstantRateConfig{
+				Packets: 200_000, Queues: 4, SingleQueue: true,
+				LineRateBps: 130_000 * 84 * 8, Seed: opt.Seed,
+			}),
+		}.Run()
 		if err != nil {
 			return Table{}, err
 		}
-		src := trace.NewConstantRate(trace.ConstantRateConfig{
-			Packets: 200_000, Queues: 4, SingleQueue: true,
-			LineRateBps: 130_000 * 84 * 8, Seed: opt.Seed,
-		})
-		st := trace.Drive(sched, n, src, nil)
-		sched.Run()
-		var offloaded uint64
-		for q := 0; q < 4; q++ {
-			offloaded += eng.QueueStats(q).ChunksOffloaded
-		}
 		t.Rows = append(t.Rows, []string{
 			pol.name,
-			pct(eng.Stats().DropRate(st.Sent)),
-			fmt.Sprintf("%d", offloaded),
+			pct(res.DropRate()),
+			fmt.Sprintf("%d", chunksOffloaded(res)),
 		})
 	}
 	return t, nil
@@ -127,36 +104,58 @@ func AblationSteering(opt Options) (Table, error) {
 		Columns: []string{"steering", "drop rate", "flows split across threads"},
 	}
 	for _, rr := range []bool{false, true} {
-		sched := vtime.NewScheduler()
 		var steering nic.Steering
 		name := "RSS (per-flow)"
 		if rr {
 			steering = nic.NewRoundRobin(6)
 			name = "round-robin"
 		}
-		n := nic.New(sched, nic.Config{
-			ID: 0, RxQueues: 6, RingSize: 1024, Promiscuous: true, Steering: steering,
-		})
-		costs := engines.DefaultCosts()
 		h := &flowAffinityHandler{
-			cost:  costs.HandlerCost(300),
+			cost:  engines.DefaultCosts().HandlerCost(300),
 			queue: make(map[packet.FlowKey]int),
 			split: make(map[packet.FlowKey]bool),
 		}
-		engines.NewDNA(sched, n, costs, h)
-		src := trace.NewBorder(trace.BorderConfig{
-			Queues: 6, Duration: vtime.Time(32 * opt.Scale * float64(vtime.Second)), Seed: opt.Seed,
-		})
-		st := trace.Drive(sched, n, src, nil)
-		sched.Run()
-		drops := st.Sent - h.processed
+		res, err := Host{
+			Spec: DNA, Queues: 6, Steering: steering,
+			Handler: func(*metrics.Registry) engines.Handler { return h },
+			Source: trace.NewBorder(trace.BorderConfig{
+				Queues: 6, Duration: vtime.Time(32 * opt.Scale * float64(vtime.Second)), Seed: opt.Seed,
+			}),
+		}.Run()
+		if err != nil {
+			return Table{}, err
+		}
 		t.Rows = append(t.Rows, []string{
 			name,
-			pct(ratio(drops, st.Sent)),
+			pct(ratio(res.Sent-h.processed, res.Sent)),
 			fmt.Sprintf("%d of %d", len(h.split), len(h.queue)),
 		})
 	}
 	return t, nil
+}
+
+// delayCells renders a run's delivery delay p50, p99 and max ("-" when
+// nothing was delivered).
+func delayCells(h *app.PktHandler) []string {
+	if h.Processed == 0 {
+		return []string{"-", "-", "-"}
+	}
+	return []string{
+		vtime.Time(h.DelayHist.Percentile(0.5)).String(),
+		vtime.Time(h.DelayHist.Percentile(0.99)).String(),
+		h.MaxDelay.String(),
+	}
+}
+
+// chunksOffloaded sums the chunks a WireCAP run offloaded over all its
+// queues.
+func chunksOffloaded(res Result) uint64 {
+	e := res.Engine.(*core.Engine)
+	var n uint64
+	for q := 0; q < res.NIC.RxQueues(); q++ {
+		n += e.QueueStats(q).ChunksOffloaded
+	}
+	return n
 }
 
 // flowAffinityHandler records which thread (queue) saw each flow.
@@ -194,32 +193,20 @@ func Extension40GE(opt Options) (Table, error) {
 		Columns: []string{"queues", "offered Mp/s", "drop rate"},
 	}
 	for _, queues := range []int{2, 4, 8} {
-		sched := vtime.NewScheduler()
-		n := nic.New(sched, nic.Config{
-			ID: 0, RxQueues: queues, RingSize: 1024,
-			LineRateBps: 40e9, Promiscuous: true,
-		})
-		costs := engines.DefaultCosts()
-		h := app.NewPktHandler(0, costs, queues)
-		_, err := core.New(sched, n, core.Config{
-			M: 256, R: 100, Mode: core.Advanced, ThresholdPct: 60, Costs: costs,
-		}, h)
+		res, err := Host{
+			Spec: WireCAPA(256, 100, 60), Queues: queues, LineRateBps: 40e9,
+			Source: trace.NewConstantRate(trace.ConstantRateConfig{
+				Packets: opt.ScalePackets, Queues: queues,
+				LineRateBps: 40e9, Seed: opt.Seed,
+			}),
+		}.Run()
 		if err != nil {
 			return Table{}, err
 		}
-		src := trace.NewConstantRate(trace.ConstantRateConfig{
-			Packets: opt.ScalePackets, Queues: queues,
-			LineRateBps: 40e9, Seed: opt.Seed,
-		})
-		st := trace.Drive(sched, n, src, nil)
-		sched.Run()
-		ns := n.Stats()
-		drop := ratio(st.Sent-uint64(h.Processed), st.Sent)
-		_ = ns
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", queues),
-			fmt.Sprintf("%.1f", float64(st.Sent)/st.Last.Seconds()/1e6),
-			pct(drop),
+			fmt.Sprintf("%.1f", float64(res.Sent)/res.Last.Seconds()/1e6),
+			pct(ratio(res.Sent-uint64(res.Handler.Processed), res.Sent)),
 		})
 	}
 	return t, nil
@@ -240,33 +227,19 @@ func AblationTimestamp(opt Options) (Table, error) {
 	}
 	for _, m := range []int{64, 256, 1024} {
 		for _, rate := range []float64{10_000, 100_000, 1_000_000} {
-			sched := vtime.NewScheduler()
-			n := nic.New(sched, nic.Config{ID: 0, RxQueues: 1, RingSize: 1024, Promiscuous: true})
-			costs := engines.DefaultCosts()
-			h := app.NewPktHandler(0, costs, 1)
-			h.Clock = sched
-			_, err := core.New(sched, n, core.Config{
-				M: m, R: 40960 / m, FlushTimeout: 2 * vtime.Millisecond, Costs: costs,
-			}, h)
+			res, err := Host{
+				Spec: WireCAPB(m, 40960/m), Queues: 1, Delays: true,
+				Core: func(c *core.Config) { c.FlushTimeout = 2 * vtime.Millisecond },
+				Source: trace.NewConstantRate(trace.ConstantRateConfig{
+					Packets: uint64(rate / 10), LineRateBps: rate * 84 * 8, Seed: opt.Seed,
+				}),
+			}.Run()
 			if err != nil {
 				return Table{}, err
 			}
-			src := trace.NewConstantRate(trace.ConstantRateConfig{
-				Packets: uint64(rate / 10), LineRateBps: rate * 84 * 8, Seed: opt.Seed,
-			})
-			trace.Drive(sched, n, src, nil)
-			sched.Run()
-			p50, p99, max := "-", "-", "-"
-			if h.Processed > 0 {
-				p50 = vtime.Time(h.DelayHist.Percentile(0.5)).String()
-				p99 = vtime.Time(h.DelayHist.Percentile(0.99)).String()
-				max = h.MaxDelay.String()
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", m),
-				fmt.Sprintf("%.0f p/s", rate),
-				p50, p99, max,
-			})
+			t.Rows = append(t.Rows, append([]string{
+				fmt.Sprintf("%d", m), fmt.Sprintf("%.0f p/s", rate),
+			}, delayCells(res.Handler)...))
 		}
 	}
 	return t, nil

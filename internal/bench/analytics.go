@@ -7,7 +7,6 @@ import (
 	"repro/internal/engines"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/trace"
@@ -81,28 +80,6 @@ func RunAnalytics(cfg AnalyticsRun) (Result, error) {
 	if cfg.Seconds == 0 {
 		cfg.Seconds = 0.4
 	}
-	sched := vtime.NewScheduler()
-	reg := metrics.NewRegistry()
-	var inj *faults.Injector
-	if len(cfg.Faults) > 0 {
-		inj = faults.NewInjector(sched, cfg.FaultSeed)
-		inj.Register(reg)
-		inj.SetTrace(cfg.Trace)
-		if err := inj.Install(cfg.Faults); err != nil {
-			return Result{}, err
-		}
-	}
-	n := nic.New(sched, nic.Config{
-		ID: 0, RxQueues: cfg.Queues, RingSize: 1024, Promiscuous: true,
-		Metrics: reg, Faults: inj, Trace: cfg.Trace,
-	})
-	costs := engines.DefaultCosts()
-	stage := analytics.New(cfg.Analytics, reg, cfg.Trace)
-	h := &analyticsHandler{
-		stage: stage,
-		cost:  costs.AppBase + analytics.DefaultUpdateCost,
-		dec:   make([]packet.Decoded, cfg.Queues),
-	}
 	var mutate func(*core.Config)
 	if cfg.Filter != "" {
 		flt, err := bpf.CompileFlat(cfg.Filter, 65535)
@@ -111,23 +88,31 @@ func RunAnalytics(cfg AnalyticsRun) (Result, error) {
 		}
 		mutate = func(c *core.Config) { c.ChunkFilter = flt }
 	}
-	eng, err := cfg.Spec.BuildWith(sched, n, costs, h, mutate)
+	var stage *analytics.Stage
+	res, err := Host{
+		Spec: cfg.Spec, Queues: cfg.Queues,
+		Faults: cfg.Faults, FaultSeed: cfg.FaultSeed, Trace: cfg.Trace,
+		Core: mutate,
+		Handler: func(reg *metrics.Registry) engines.Handler {
+			stage = analytics.New(cfg.Analytics, reg, cfg.Trace)
+			return &analyticsHandler{
+				stage: stage,
+				cost:  engines.DefaultCosts().AppBase + analytics.DefaultUpdateCost,
+				dec:   make([]packet.Decoded, cfg.Queues),
+			}
+		},
+		Source: trace.NewBorder(trace.BorderConfig{
+			Queues:   cfg.Queues,
+			Duration: vtime.Time(cfg.Seconds * float64(vtime.Second)),
+			Scale:    cfg.Scale,
+			Seed:     cfg.Seed,
+		}),
+	}.Run()
 	if err != nil {
 		return Result{}, err
 	}
-	src := trace.NewBorder(trace.BorderConfig{
-		Queues:   cfg.Queues,
-		Duration: vtime.Time(cfg.Seconds * float64(vtime.Second)),
-		Scale:    cfg.Scale,
-		Seed:     cfg.Seed,
-	})
-	st := trace.Drive(sched, n, src, nil)
-	sched.Run()
-	return Result{
-		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(),
-		Metrics: reg, End: sched.Now(),
-		Analytics: stage.Report(),
-	}, nil
+	res.Analytics = stage.Report()
+	return res, nil
 }
 
 // AnalyticsScenarios is the line-rate-consumer regression suite: the
@@ -137,19 +122,11 @@ func RunAnalytics(cfg AnalyticsRun) (Result, error) {
 // superspreader estimate sits under the ci-gate digest.
 func AnalyticsScenarios() []Scenario {
 	mk := func(name, about string, cfg AnalyticsRun) Scenario {
-		run := func(rec *obs.Recorder) (RunReport, error) {
+		return hostScenario(name, about, func(rec *obs.Recorder) (Result, error) {
 			c := cfg
 			c.Trace = rec
-			res, err := RunAnalytics(c)
-			if err != nil {
-				return RunReport{}, err
-			}
-			return res.Report(name), nil
-		}
-		return Scenario{Name: name, About: about,
-			Run:       func() (RunReport, error) { return run(nil) },
-			RunTraced: run,
-		}
+			return RunAnalytics(c)
+		})
 	}
 	return []Scenario{
 		mk("analytics_border_wirecapa",

@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/app"
-	"repro/internal/engines"
 	"repro/internal/faults"
-	"repro/internal/metrics"
-	"repro/internal/nic"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -49,45 +44,11 @@ func RunChaos(cfg ChaosRun) (Result, error) {
 	if cfg.Queues == 0 {
 		cfg.Queues = 1
 	}
-	sched := vtime.NewScheduler()
-	reg := metrics.NewRegistry()
-	inj := faults.NewInjector(sched, cfg.FaultSeed)
-	inj.Register(reg)
-	inj.SetTrace(cfg.Trace)
-	if err := inj.Install(cfg.Faults); err != nil {
-		return Result{}, err
-	}
-	n := nic.New(sched, nic.Config{
-		ID: 0, RxQueues: cfg.Queues, RingSize: 1024, Promiscuous: true,
-		Metrics: reg, Faults: inj, Trace: cfg.Trace,
-	})
-	costs := engines.DefaultCosts()
-	h := app.NewPktHandler(cfg.X, costs, cfg.Queues)
-	eng, err := cfg.Spec.Build(sched, n, costs, h)
-	if err != nil {
-		return Result{}, err
-	}
-	frameLen := cfg.FrameLen
-	if frameLen == 0 {
-		frameLen = 60
-	}
-	rate := n.LineRateBps()
-	if cfg.PacketsPerSec > 0 {
-		rate = cfg.PacketsPerSec * float64(frameLen+24) * 8
-	}
-	src := trace.NewConstantRate(trace.ConstantRateConfig{
-		Packets:     cfg.Packets,
-		FrameLen:    frameLen,
-		LineRateBps: rate,
-		Queues:      cfg.Queues,
-		Seed:        cfg.Seed,
-	})
-	st := trace.Drive(sched, n, src, nil)
-	sched.Run()
-	return Result{
-		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(), Handler: h,
-		Metrics: reg, End: sched.Now(),
-	}, nil
+	return Host{
+		Spec: cfg.Spec, Queues: cfg.Queues, X: cfg.X,
+		Faults: cfg.Faults, FaultSeed: cfg.FaultSeed, Trace: cfg.Trace,
+		Source: constantRate(cfg.Packets, cfg.FrameLen, cfg.PacketsPerSec, cfg.Queues, cfg.Seed),
+	}.Run()
 }
 
 // ChaosScenarios is the chaos regression suite: three deterministic
@@ -97,19 +58,11 @@ func RunChaos(cfg ChaosRun) (Result, error) {
 // regression-tested, not aspirational.
 func ChaosScenarios() []Scenario {
 	chaos := func(name, about string, cfg ChaosRun) Scenario {
-		run := func(rec *obs.Recorder) (RunReport, error) {
+		return hostScenario(name, about, func(rec *obs.Recorder) (Result, error) {
 			c := cfg
 			c.Trace = rec
-			res, err := RunChaos(c)
-			if err != nil {
-				return RunReport{}, err
-			}
-			return res.Report(name), nil
-		}
-		return Scenario{Name: name, About: about,
-			Run:       func() (RunReport, error) { return run(nil) },
-			RunTraced: run,
-		}
+			return RunChaos(c)
+		})
 	}
 	// X=300 caps one handler thread near 38.8 kp/s, so the offered rates
 	// below sit under per-queue capacity: the steady state is lossless

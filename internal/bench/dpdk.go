@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/engines"
-	"repro/internal/nic"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -39,62 +37,38 @@ func ExtensionDPDK(opt Options) (Table, error) {
 		// capture thread.
 		rate = 7_000_000
 	)
-	packets := opt.ScalePackets
-
-	type setup struct {
-		name  string
-		build func(sched *vtime.Scheduler, n *nic.NIC, h engines.Handler) (engines.Engine, func() (vtime.Time, vtime.Time, uint64), error)
-	}
-	costs := engines.DefaultCosts()
-	setups := []setup{
-		{"DPDK", func(sched *vtime.Scheduler, n *nic.NIC, h engines.Handler) (engines.Engine, func() (vtime.Time, vtime.Time, uint64), error) {
-			e := engines.NewDPDK(sched, n, costs, h, engines.DPDKConfig{})
-			return e, func() (vtime.Time, vtime.Time, uint64) { return e.QueueBusy(0), 0, e.Steered(0) }, nil
-		}},
-		{"DPDK+app-offload", func(sched *vtime.Scheduler, n *nic.NIC, h engines.Handler) (engines.Engine, func() (vtime.Time, vtime.Time, uint64), error) {
-			e := engines.NewDPDK(sched, n, costs, h, engines.DPDKConfig{AppOffload: true})
-			return e, func() (vtime.Time, vtime.Time, uint64) { return e.QueueBusy(0), 0, e.Steered(0) }, nil
-		}},
-		{"WireCAP-A-(256,100,60%)", func(sched *vtime.Scheduler, n *nic.NIC, h engines.Handler) (engines.Engine, func() (vtime.Time, vtime.Time, uint64), error) {
-			e, err := core.New(sched, n, core.Config{
-				M: 256, R: 100, Mode: core.Advanced, ThresholdPct: 60, Costs: costs,
-			}, h)
-			if err != nil {
-				return nil, nil, err
-			}
-			probe := func() (vtime.Time, vtime.Time, uint64) {
-				var off uint64
-				for q := 0; q < n.RxQueues(); q++ {
-					off += e.QueueStats(q).ChunksOffloaded
-				}
-				return e.AppBusy(0), e.CaptureBusy(0), off * uint64(256)
-			}
-			return e, probe, nil
-		}},
-	}
-	for _, su := range setups {
-		sched := vtime.NewScheduler()
-		n := nic.New(sched, nic.Config{ID: 0, RxQueues: 4, RingSize: 1024, Promiscuous: true})
-		h := app.NewPktHandler(x, costs, 4)
-		eng, probe, err := su.build(sched, n, h)
+	for _, spec := range []EngineSpec{
+		{Kind: KindDPDK}, {Kind: KindDPDKAppOffload}, WireCAPA(256, 100, 60),
+	} {
+		res, err := Host{
+			Spec: spec, Queues: 4, X: x,
+			Source: trace.NewConstantRate(trace.ConstantRateConfig{
+				Packets: opt.ScalePackets, Queues: 4, SingleQueue: true,
+				LineRateBps: rate * 84 * 8, Seed: opt.Seed,
+			}),
+		}.Run()
 		if err != nil {
 			return Table{}, err
 		}
-		src := trace.NewConstantRate(trace.ConstantRateConfig{
-			Packets: packets, Queues: 4, SingleQueue: true,
-			LineRateBps: rate * 84 * 8, Seed: opt.Seed,
-		})
-		st := trace.Drive(sched, n, src, nil)
-		sched.Run()
-		appBusy, capBusy, moved := probe()
-		dur := st.Last.Seconds()
+		// The hot thread's CPU time, and the packets moved off it: DPDK
+		// steers one packet at a time, WireCAP offloads M-packet chunks.
+		var appBusy, capBusy vtime.Time
+		var moved uint64
+		switch e := res.Engine.(type) {
+		case *engines.DPDK:
+			appBusy, moved = e.QueueBusy(0), e.Steered(0)
+		case *core.Engine:
+			appBusy, capBusy = e.AppBusy(0), e.CaptureBusy(0)
+			moved = chunksOffloaded(res) * uint64(spec.M)
+		}
+		dur := res.Last.Seconds()
 		capCPU := "-"
 		if capBusy > 0 {
 			capCPU = fmt.Sprintf("%.1f%%", 100*capBusy.Seconds()/dur)
 		}
 		t.Rows = append(t.Rows, []string{
-			su.name,
-			pct(eng.Stats().DropRate(st.Sent)),
+			spec.Name(),
+			pct(res.DropRate()),
 			fmt.Sprintf("%.1f%%", 100*appBusy.Seconds()/dur),
 			capCPU,
 			fmt.Sprintf("%d", moved),

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/engines"
-	"repro/internal/nic"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -132,15 +132,16 @@ func ratio(num, den uint64) float64 {
 // raw bins for plotting.
 func Fig3(opt Options) (Table, *app.QueueProfiler, error) {
 	opt.setDefaults()
-	sched := vtime.NewScheduler()
-	n := nic.New(sched, nic.Config{ID: 0, RxQueues: 6, RingSize: 1024, Promiscuous: true})
-	costs := engines.DefaultCosts()
 	prof := app.NewQueueProfiler(6)
-	engines.NewDNA(sched, n, costs, prof)
 	dur := vtime.Time(32 * opt.Scale * float64(vtime.Second))
-	src := trace.NewBorder(trace.BorderConfig{Queues: 6, Duration: dur, Seed: opt.Seed})
-	st := trace.Drive(sched, n, src, nil)
-	sched.Run()
+	res, err := Host{
+		Spec: DNA, Queues: 6,
+		Handler: func(*metrics.Registry) engines.Handler { return prof },
+		Source:  trace.NewBorder(trace.BorderConfig{Queues: 6, Duration: dur, Seed: opt.Seed}),
+	}.Run()
+	if err != nil {
+		return Table{}, nil, err
+	}
 
 	t := Table{
 		ID:      "Figure 3",
@@ -157,7 +158,7 @@ func Fig3(opt Options) (Table, *app.QueueProfiler, error) {
 			fmt.Sprintf("%d", prof.Peak(q)),
 		})
 	}
-	t.Rows = append(t.Rows, []string{"total", fmt.Sprintf("%d", st.Sent), "", ""})
+	t.Rows = append(t.Rows, []string{"total", fmt.Sprintf("%d", res.Sent), "", ""})
 	return t, prof, nil
 }
 
@@ -371,21 +372,24 @@ func Fig14(opt Options) (Table, error) {
 	return t, nil
 }
 
-// All runs every experiment in paper order and writes the tables to w.
-func All(opt Options, w io.Writer) error {
-	type exp struct {
-		name string
-		run  func(Options) (Table, error)
-	}
-	fig3 := func(o Options) (Table, error) {
+// experiments lists the paper's tables and figures in paper order, by
+// their short names.
+var experiments = []struct {
+	name string
+	run  func(Options) (Table, error)
+}{
+	{"fig3", func(o Options) (Table, error) {
 		t, _, err := Fig3(o)
 		return t, err
-	}
-	for _, e := range []exp{
-		{"fig3", fig3}, {"table1", Table1},
-		{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10},
-		{"fig11", Fig11}, {"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14},
-	} {
+	}},
+	{"table1", Table1},
+	{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10},
+	{"fig11", Fig11}, {"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14},
+}
+
+// All runs every experiment in paper order and writes the tables to w.
+func All(opt Options, w io.Writer) error {
+	for _, e := range experiments {
 		t, err := e.run(opt)
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", e.name, err)
@@ -398,31 +402,9 @@ func All(opt Options, w io.Writer) error {
 }
 
 // ByName runs a single experiment by its short name ("fig3" ... "fig14",
-// "table1").
+// "table1"), or one of the "ablations", "chaos", "fleet" and "all" suites.
 func ByName(name string, opt Options, w io.Writer) error {
 	switch name {
-	case "fig3":
-		t, _, err := Fig3(opt)
-		if err != nil {
-			return err
-		}
-		return opt.render(t, w)
-	case "table1":
-		return runAndWrite(Table1, opt, w)
-	case "fig8":
-		return runAndWrite(Fig8, opt, w)
-	case "fig9":
-		return runAndWrite(Fig9, opt, w)
-	case "fig10":
-		return runAndWrite(Fig10, opt, w)
-	case "fig11":
-		return runAndWrite(Fig11, opt, w)
-	case "fig12":
-		return runAndWrite(Fig12, opt, w)
-	case "fig13":
-		return runAndWrite(Fig13, opt, w)
-	case "fig14":
-		return runAndWrite(Fig14, opt, w)
 	case "ablations":
 		return Ablations(opt, w)
 	case "chaos":
@@ -434,17 +416,17 @@ func ByName(name string, opt Options, w io.Writer) error {
 			return err
 		}
 		return Ablations(opt, w)
-	default:
-		return fmt.Errorf("bench: unknown experiment %q", name)
 	}
-}
-
-func runAndWrite(f func(Options) (Table, error), opt Options, w io.Writer) error {
-	t, err := f(opt)
-	if err != nil {
-		return err
+	for _, e := range experiments {
+		if e.name == name {
+			t, err := e.run(opt)
+			if err != nil {
+				return err
+			}
+			return opt.render(t, w)
+		}
 	}
-	return opt.render(t, w)
+	return fmt.Errorf("bench: unknown experiment %q", name)
 }
 
 // render writes a table in the configured format.

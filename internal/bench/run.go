@@ -27,6 +27,12 @@ type Result struct {
 	// Snapshot for RunReport.
 	Metrics *metrics.Registry
 	End     vtime.Time
+	// Last is the virtual time the source offered its last packet.
+	Last vtime.Time
+	// Engine and NIC are the capture engine and receive NIC the run
+	// built, for callers that read their own counters.
+	Engine engines.Engine
+	NIC    *nic.NIC
 	// Analytics is the streaming-analytics stage report for
 	// RunAnalytics runs; nil elsewhere.
 	Analytics *analytics.Report
@@ -79,35 +85,30 @@ type ConstantRun struct {
 
 // RunConstant executes the run to completion.
 func RunConstant(cfg ConstantRun) (Result, error) {
-	sched := vtime.NewScheduler()
-	reg := metrics.NewRegistry()
-	n := nic.New(sched, nic.Config{ID: 0, RxQueues: 1, RingSize: 1024, Promiscuous: true, Metrics: reg, Trace: cfg.Trace})
-	costs := engines.DefaultCosts()
-	h := app.NewPktHandler(cfg.X, costs, 1)
-	eng, err := cfg.Spec.Build(sched, n, costs, h)
-	if err != nil {
-		return Result{}, err
-	}
-	frameLen := cfg.FrameLen
+	return Host{
+		Spec: cfg.Spec, Queues: 1, X: cfg.X, Trace: cfg.Trace,
+		Source: constantRate(cfg.Packets, cfg.FrameLen, cfg.PacketsPerSec, 1, cfg.Seed),
+	}.Run()
+}
+
+// constantRate builds the constant-rate traffic of ConstantRun and
+// ChaosRun: packets frames of frameLen bytes (default 60) spread over
+// queues, at pps packets per second (default the 10 GbE wire rate).
+func constantRate(packets uint64, frameLen int, pps float64, queues int, seed uint64) trace.Source {
 	if frameLen == 0 {
 		frameLen = 60
 	}
-	rate := n.LineRateBps()
-	if cfg.PacketsPerSec > 0 {
-		rate = cfg.PacketsPerSec * float64(frameLen+24) * 8
+	var rate float64
+	if pps > 0 {
+		rate = pps * float64(frameLen+24) * 8
 	}
-	src := trace.NewConstantRate(trace.ConstantRateConfig{
-		Packets:     cfg.Packets,
+	return trace.NewConstantRate(trace.ConstantRateConfig{
+		Packets:     packets,
 		FrameLen:    frameLen,
 		LineRateBps: rate,
-		Seed:        cfg.Seed,
+		Queues:      queues,
+		Seed:        seed,
 	})
-	st := trace.Drive(sched, n, src, nil)
-	sched.Run()
-	return Result{
-		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(), Handler: h,
-		Metrics: reg, End: sched.Now(),
-	}, nil
 }
 
 // BorderRun replays the border-router workload into an n-queue NIC under
@@ -146,55 +147,19 @@ func RunBorder(cfg BorderRun) (Result, []uint64, error) {
 	if cfg.Seconds > 0 {
 		dur = vtime.Time(cfg.Seconds * float64(vtime.Second))
 	}
-	sched := vtime.NewScheduler()
-	reg := metrics.NewRegistry()
-	n := nic.New(sched, nic.Config{ID: 0, RxQueues: cfg.Queues, RingSize: 1024, Promiscuous: true, Metrics: reg, Trace: cfg.Trace})
-	costs := engines.DefaultCosts()
-	var h *app.PktHandler
-	if cfg.Filter != "" {
-		var err error
-		h, err = app.NewPktHandlerFilter(cfg.X, costs, cfg.Queues, cfg.Filter)
-		if err != nil {
-			return Result{}, nil, err
-		}
-	} else {
-		h = app.NewPktHandler(cfg.X, costs, cfg.Queues)
-	}
-
-	var n2 *nic.NIC
-	if cfg.Forward {
-		n2 = nic.New(sched, nic.Config{
-			ID: 1, RxQueues: 1, RingSize: 64,
-			TxQueues: cfg.Queues, TxRingSize: 1024, Promiscuous: true,
-			Metrics: reg,
-		})
-		h.ForwardTx = func(q int) *nic.TxRing { return n2.Tx(q) }
-	}
-
-	eng, err := cfg.Spec.Build(sched, n, costs, h)
+	res, err := Host{
+		Spec: cfg.Spec, Queues: cfg.Queues, X: cfg.X, Filter: cfg.Filter,
+		Forward: cfg.Forward, Trace: cfg.Trace,
+		Source: trace.NewBorder(trace.BorderConfig{Queues: cfg.Queues, Duration: dur, Seed: cfg.Seed}),
+	}.Run()
 	if err != nil {
 		return Result{}, nil, err
 	}
-	src := trace.NewBorder(trace.BorderConfig{
-		Queues: cfg.Queues, Duration: dur, Seed: cfg.Seed,
-	})
-	st := trace.Drive(sched, n, src, nil)
-
-	sched.Run()
 	// Per-queue offered load, for Table 1's per-queue rates: every frame
 	// the NIC steered to a ring was either received or dropped there.
 	offered := make([]uint64, cfg.Queues)
-	for q, rx := range n.Stats().Rx {
+	for q, rx := range res.NIC.Stats().Rx {
 		offered[q] = rx.Received + rx.Drops()
-	}
-	res := Result{
-		Spec: cfg.Spec, Sent: st.Sent, Stats: eng.Stats(), Handler: h,
-		Metrics: reg, End: sched.Now(),
-	}
-	if cfg.Forward {
-		for q := 0; q < cfg.Queues; q++ {
-			res.Forwarded += n2.Tx(q).Stats().Sent
-		}
 	}
 	return res, offered, nil
 }

@@ -30,6 +30,22 @@ type Scenario struct {
 	TracedRecord func() (RunReport, obs.Record, error)
 }
 
+// hostScenario makes a CI scenario of a single-host run: Run is the run
+// untraced, RunTraced the same run with the given flight recorder.
+func hostScenario(name, about string, run func(*obs.Recorder) (Result, error)) Scenario {
+	traced := func(rec *obs.Recorder) (RunReport, error) {
+		res, err := run(rec)
+		if err != nil {
+			return RunReport{}, err
+		}
+		return res.Report(name), nil
+	}
+	return Scenario{Name: name, About: about,
+		Run:       func() (RunReport, error) { return traced(nil) },
+		RunTraced: traced,
+	}
+}
+
 // NewRecorder builds a flight recorder keyed by the NIC's Toeplitz RSS
 // hash, so per-flow sampling follows the same function hardware steers
 // by — a sampled flow is sampled on whichever queue it lands on.
@@ -67,34 +83,19 @@ func (s Scenario) Report() (RunReport, error) {
 // key entries in baselines.json.
 func CIScenarios() []Scenario {
 	constant := func(name, about string, spec EngineSpec, packets uint64) Scenario {
-		run := func(rec *obs.Recorder) (RunReport, error) {
-			res, err := RunConstant(ConstantRun{
+		return hostScenario(name, about, func(rec *obs.Recorder) (Result, error) {
+			return RunConstant(ConstantRun{
 				Spec: spec, Packets: packets, X: 300, Seed: 7, Trace: rec,
 			})
-			if err != nil {
-				return RunReport{}, err
-			}
-			return res.Report(name), nil
-		}
-		return Scenario{Name: name, About: about,
-			Run:       func() (RunReport, error) { return run(nil) },
-			RunTraced: run,
-		}
+		})
 	}
 	border := func(name, about string, spec EngineSpec, seconds float64, seed uint64) Scenario {
-		run := func(rec *obs.Recorder) (RunReport, error) {
+		return hostScenario(name, about, func(rec *obs.Recorder) (Result, error) {
 			res, _, err := RunBorder(BorderRun{
 				Spec: spec, Queues: 4, X: 300, Seconds: seconds, Seed: seed, Trace: rec,
 			})
-			if err != nil {
-				return RunReport{}, err
-			}
-			return res.Report(name), nil
-		}
-		return Scenario{Name: name, About: about,
-			Run:       func() (RunReport, error) { return run(nil) },
-			RunTraced: run,
-		}
+			return res, err
+		})
 	}
 	scenarios := []Scenario{
 		constant("constant_wirecapb_x300",

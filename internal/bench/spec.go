@@ -26,6 +26,10 @@ const (
 	KindRawSocket
 	KindWireCAPBasic
 	KindWireCAPAdvanced
+	// KindDPDK and KindDPDKAppOffload are the DPDK-style framework of
+	// Extension E2, without and with application-layer offloading.
+	KindDPDK
+	KindDPDKAppOffload
 )
 
 // EngineSpec identifies one engine configuration, e.g.
@@ -70,6 +74,10 @@ func (s EngineSpec) Name() string {
 		return fmt.Sprintf("WireCAP-B-(%d,%d)", s.M, s.R)
 	case KindWireCAPAdvanced:
 		return fmt.Sprintf("WireCAP-A-(%d,%d,%d%%)", s.M, s.R, s.T)
+	case KindDPDK:
+		return "DPDK"
+	case KindDPDKAppOffload:
+		return "DPDK+app-offload"
 	default:
 		return fmt.Sprintf("engine-%d", int(s.Kind))
 	}
@@ -102,6 +110,10 @@ func (s EngineSpec) BuildWith(sched *vtime.Scheduler, n *nic.NIC, costs engines.
 		return engines.NewPSIOE(sched, n, costs, h), nil
 	case KindRawSocket:
 		return engines.NewRawSocket(sched, n, costs, h), nil
+	case KindDPDK:
+		return engines.NewDPDK(sched, n, costs, h, engines.DPDKConfig{}), nil
+	case KindDPDKAppOffload:
+		return engines.NewDPDK(sched, n, costs, h, engines.DPDKConfig{AppOffload: true}), nil
 	case KindWireCAPBasic:
 		return build(core.Config{M: s.M, R: s.R, Costs: costs})
 	case KindWireCAPAdvanced:
