@@ -26,10 +26,12 @@
 #
 # `make lint` runs wirelint (the repo's own analyzer suite in
 # internal/lint: walltime, maporder, hotpath, lockdiscipline,
-# concurrency, the directive meta-rule, plus the interprocedural
-# hotpathflow, determinism, and conservation passes) over the whole
-# module, self-lints the analyzer package (zero findings, zero allows
-# over internal/lint), then runs staticcheck when a pinned binary is
+# concurrency, the directive meta-rule, the interprocedural
+# hotpathflow, determinism, and conservation passes, plus deadexport,
+# which fails on exported internal/ code no non-test file uses) over
+# the whole module, self-lints the analyzer package (zero findings,
+# zero allows over internal/lint), then runs staticcheck when a pinned
+# binary is
 # available (`make staticcheck-install` fetches it; CI always runs it).
 
 GO ?= go

@@ -10,7 +10,9 @@
 //	wiretrace -r trace.json -pkt 1234        one packet's full stage timeline
 //	wiretrace -r trace.json -cause reclaim   drop-ledger records with that cause
 //	wiretrace -r trace.json -report          the full drop-forensics report
-//	wiretrace -r trace.json -journeys        fleet records: end-to-end packet journeys
+//
+// Fleet records render their end-to-end packet journeys through
+// `wirestat -journeys`.
 package main
 
 import (
@@ -29,7 +31,6 @@ func main() {
 	cause := flag.String("cause", "", "list drop-ledger records with this cause (see -report for names)")
 	pkt := flag.Int64("pkt", -1, "print the full timeline of this packet id")
 	report := flag.Bool("report", false, "print the drop-forensics report")
-	journeys := flag.Bool("journeys", false, "print the fleet journey dump (fleet records only)")
 	flag.Parse()
 
 	if *in == "" {
@@ -51,11 +52,6 @@ func main() {
 	}
 
 	switch {
-	case *journeys:
-		if len(rec.Journeys) == 0 && len(rec.FleetEvents) == 0 {
-			fatal(fmt.Errorf("no fleet journeys in %s (not a fleet record, or traced with journeys disabled)", *in))
-		}
-		err = rec.WriteJourneys(os.Stdout)
 	case *report:
 		err = rec.WriteForensics(os.Stdout)
 	case *pkt >= 0:

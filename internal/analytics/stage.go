@@ -121,15 +121,6 @@ func (s *Stage) Update(queue int, d *packet.Decoded, ts vtime.Time) {
 //wirecap:hotpath
 func (s *Stage) NoteUndecodable() { s.undecodable++ }
 
-// Updates returns the number of packets fed into the stage.
-func (s *Stage) Updates() uint64 { return s.updates }
-
-// Sketch exposes the count-min sketch (read-mostly: reports, tests).
-func (s *Stage) Sketch() *CMSketch { return s.cm }
-
-// Flows exposes the bounded flow table.
-func (s *Stage) Flows() *FlowTable { return s.flows }
-
 // flowHash is FNV-1a over the 13 key bytes, inline (hash/fnv allocates
 // a hasher; this must not).
 //

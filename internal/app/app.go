@@ -108,11 +108,6 @@ func (h *PktHandler) Handle(q int, data []byte, ts vtime.Time, done func()) {
 	done()
 }
 
-// Rate returns the handler's nominal processing rate in packets/second.
-func (h *PktHandler) Rate() float64 {
-	return 1 / h.Costs.HandlerCost(h.X).Seconds()
-}
-
 // QueueProfiler is the paper's queue_profiler: a per-queue time series of
 // packet counts in 10 ms bins, used to visualize load imbalance
 // (Figure 3). Profiling itself is modeled as free (the real tool does

@@ -31,7 +31,7 @@ func TestPktHandlerCostScalesWithX(t *testing.T) {
 	if h0.Cost(0, frame) >= h300.Cost(0, frame) {
 		t.Fatal("x=0 cost not below x=300 cost")
 	}
-	rate := h300.Rate()
+	rate := 1 / h300.Costs.HandlerCost(h300.X).Seconds()
 	if rate < 38000 || rate > 40000 {
 		t.Fatalf("x=300 rate = %.0f", rate)
 	}

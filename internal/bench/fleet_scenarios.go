@@ -17,18 +17,13 @@ import (
 // floor from the outside, off the flattened RunReport.
 const FleetDeliveryFloor = 0.95
 
-// FleetRunReport executes a fleet scenario and flattens its Report into
+// fleetRunReport executes a fleet scenario and flattens its Report into
 // the bench RunReport shape cmd/ci-gate consumes: hosts map onto the
 // per-queue axis (Received/CaptureDrops/DeliveryDrops/Delivered), and
 // the fleet + per-host-bus counters ride in the metrics snapshot, so
-// the digest covers the whole aggregation ledger.
-func FleetRunReport(name string, cfg fleet.Config) (RunReport, error) {
-	rep, _, err := fleetRunReport(name, cfg)
-	return rep, err
-}
-
-// fleetRunReport is FleetRunReport plus the raw fleet Result, for the
-// traced-record path (journey dumps, dashboards, Chrome export).
+// the digest covers the whole aggregation ledger. The raw fleet Result
+// serves the traced-record path (journey dumps, dashboards, Chrome
+// export).
 func fleetRunReport(name string, cfg fleet.Config) (RunReport, fleet.Result, error) {
 	res, err := fleet.Run(name, cfg)
 	if err != nil {

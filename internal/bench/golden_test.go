@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -70,11 +71,11 @@ func TestRunReportDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			aj, err := a.JSON()
+			aj, err := json.MarshalIndent(a, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
-			bj, err := b.JSON()
+			bj, err := json.MarshalIndent(b, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +120,7 @@ func TestFleetDigestSensitivity(t *testing.T) {
 	run := func(mutate func(*fleet.Config)) string {
 		cfg := fleet.Config{Hosts: 4, Packets: 3_000, Flows: 64, Seed: 7}
 		mutate(&cfg)
-		rep, err := FleetRunReport("fleet_sens", cfg)
+		rep, _, err := fleetRunReport("fleet_sens", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,12 +86,6 @@ func (r Result) Report(scenario string) RunReport {
 	return rep
 }
 
-// JSON renders the report as indented, deterministic JSON (series
-// sorted, map keys sorted by encoding/json).
-func (rr RunReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(rr, "", "  ")
-}
-
 // Digest is a stable fingerprint of the full report: FNV-1a over the
 // compact JSON encoding. Any observable divergence — a counter off by
 // one, a latency bucket shifted — changes the digest.

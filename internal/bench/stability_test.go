@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -22,11 +23,11 @@ func TestReportByteStability(t *testing.T) {
 	}
 	a, b := run(), run()
 
-	aj, err := a.JSON()
+	aj, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := b.JSON()
+	bj, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}

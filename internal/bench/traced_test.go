@@ -96,19 +96,21 @@ func TestDropLedgerConservation(t *testing.T) {
 				}
 				return
 			}
-			capture := rec.DropTotal(obs.DropDescDepletion) + rec.DropTotal(obs.DropBus) +
-				rec.DropTotal(obs.DropQueueHang) + rec.DropTotal(obs.DropDescStall)
-			delivery := rec.DropTotal(obs.DropDeliveryOverflow) + rec.DropTotal(obs.DropQuarantineBacklog)
+			drops := rec.Record(sc.Name, 0).DropTotals
+			total := func(c obs.DropCause) uint64 { return drops[c.String()] }
+			capture := total(obs.DropDescDepletion) + total(obs.DropBus) +
+				total(obs.DropQueueHang) + total(obs.DropDescStall)
+			delivery := total(obs.DropDeliveryOverflow) + total(obs.DropQuarantineBacklog)
 			if capture != tot.CaptureDrops {
 				t.Errorf("capture ledger = %d, counter = %d", capture, tot.CaptureDrops)
 			}
 			if delivery != tot.DeliveryDrops {
 				t.Errorf("delivery ledger = %d, counter = %d", delivery, tot.DeliveryDrops)
 			}
-			if c := rec.DropTotal(obs.DropCorrupt); c != tot.CorruptDrops {
+			if c := total(obs.DropCorrupt); c != tot.CorruptDrops {
 				t.Errorf("corrupt ledger = %d, counter = %d", c, tot.CorruptDrops)
 			}
-			if c := rec.DropTotal(obs.DropReclaim); c != tot.ReclaimDrops {
+			if c := total(obs.DropReclaim); c != tot.ReclaimDrops {
 				t.Errorf("reclaim ledger = %d, counter = %d", c, tot.ReclaimDrops)
 			}
 		})

@@ -389,6 +389,3 @@ func jump(cond bool, ins Instruction) int {
 
 // Match reports whether the filter accepts the packet (returns non-zero).
 func (vm *VM) Match(pkt []byte) bool { return vm.Run(pkt) != 0 }
-
-// Len returns the number of instructions in the program.
-func (vm *VM) Len() int { return len(vm.prog) }

@@ -197,10 +197,6 @@ func MustCompileFlat(expr string, snaplen uint32) *FlatProgram {
 	return f
 }
 
-// Fused reports whether the filter runs as a fused Go predicate rather
-// than flattened bytecode.
-func (f *FlatProgram) Fused() bool { return f.fast != nil }
-
 // Run executes the filter over pkt and returns the snapshot length to
 // accept (0 rejects), with the same observable semantics as VM.Run on a
 // fresh VM: scratch memory starts zeroed every run and out-of-bounds

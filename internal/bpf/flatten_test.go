@@ -114,7 +114,7 @@ func TestFlattenDifferentialExprs(t *testing.T) {
 				t.Fatalf("flattened diverges on %q: %d != %d\n%s", e, got, want, Disassemble(prog))
 			}
 			if got := fast.Run(frame); got != want {
-				t.Fatalf("FlattenExpr (fused=%v) diverges on %q: %d != %d", fast.Fused(), e, got, want)
+				t.Fatalf("FlattenExpr (fused=%v) diverges on %q: %d != %d", fast.fast != nil, e, got, want)
 			}
 			if got := Eval(e, frame); got != (want != 0) {
 				t.Fatalf("Eval oracle diverges on %q", e)
@@ -145,7 +145,7 @@ func TestFlattenMatcherCorpus(t *testing.T) {
 				t.Fatalf("%q frame %d: flattened %d != VM %d", expr, i, got, want)
 			}
 			if got := fast.Run(frame); got != want {
-				t.Fatalf("%q frame %d: fused(%v) %d != VM %d", expr, i, fast.Fused(), got, want)
+				t.Fatalf("%q frame %d: fused(%v) %d != VM %d", expr, i, fast.fast != nil, got, want)
 			}
 		}
 	}
@@ -156,7 +156,7 @@ func TestFlattenMatcherCorpus(t *testing.T) {
 func TestFuseCoverage(t *testing.T) {
 	for _, expr := range matcherCorpus {
 		f := MustCompileFlat(expr, 65535)
-		if !f.Fused() {
+		if f.fast == nil {
 			t.Errorf("%q did not fuse", expr)
 		}
 	}
@@ -167,7 +167,7 @@ func TestFuseCoverage(t *testing.T) {
 		"len - 14 >= 1000",
 	} {
 		f := MustCompileFlat(expr, 65535)
-		if f.Fused() {
+		if f.fast != nil {
 			t.Errorf("%q unexpectedly fused", expr)
 		}
 	}

@@ -231,9 +231,9 @@ func TestValidateTooLong(t *testing.T) {
 func TestAssembleDisassembleRoundTrip(t *testing.T) {
 	prog := MustCompile("udp and net 131.225.2 and dst port 53", 65535)
 	text := Disassemble(prog)
-	back, err := Assemble(text)
+	back, err := assemble(text)
 	if err != nil {
-		t.Fatalf("Assemble(Disassemble(p)): %v\ntext:\n%s", err, text)
+		t.Fatalf("assemble(Disassemble(p)): %v\ntext:\n%s", err, text)
 	}
 	if len(back) != len(prog) {
 		t.Fatalf("round-trip length %d != %d", len(back), len(prog))
@@ -255,9 +255,9 @@ func TestAssembleHandwritten(t *testing.T) {
 		ret  #96
 		ret  #0
 	`
-	prog, err := Assemble(src)
+	prog, err := assemble(src)
 	if err != nil {
-		t.Fatalf("Assemble: %v", err)
+		t.Fatalf("assemble: %v", err)
 	}
 	if len(prog) != 6 {
 		t.Fatalf("got %d instructions", len(prog))
@@ -274,8 +274,8 @@ func TestAssembleErrors(t *testing.T) {
 		"ld [x]",
 		"ret", // missing operand
 	} {
-		if _, err := Assemble(src); err == nil {
-			t.Errorf("Assemble(%q) succeeded", src)
+		if _, err := assemble(src); err == nil {
+			t.Errorf("assemble(%q) succeeded", src)
 		}
 	}
 }
@@ -365,7 +365,7 @@ func TestAssembleDisassembleAllOpcodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := Disassemble(prog)
-	back, err := Assemble(text)
+	back, err := assemble(text)
 	if err != nil {
 		t.Fatalf("Assemble: %v\n%s", err, text)
 	}
@@ -386,7 +386,7 @@ func TestAssembleDisassembleAllOpcodes(t *testing.T) {
 
 func TestVMLen(t *testing.T) {
 	vm := mustVM(t, Program{{Op: OpRetK, K: 1}})
-	if vm.Len() != 1 {
-		t.Fatalf("Len = %d", vm.Len())
+	if len(vm.prog) != 1 {
+		t.Fatalf("Len = %d", len(vm.prog))
 	}
 }

@@ -109,15 +109,6 @@ func (b *Bus) TryTransfer(now vtime.Time, payload, extraOverhead int) bool {
 	return true
 }
 
-// SetPagePenalty updates the per-transfer paging penalty; engines call it
-// once their total memory footprint is known.
-func (b *Bus) SetPagePenalty(bytes int) {
-	if bytes < 0 {
-		bytes = 0
-	}
-	b.cfg.PagePenaltyBytes = bytes
-}
-
 // Stats returns cumulative counters.
 func (b *Bus) Stats() Stats {
 	return Stats{Transfers: b.transfers, Bytes: b.bytes, Rejected: b.rejected}

@@ -66,17 +66,12 @@ func TestOverheadsCharged(t *testing.T) {
 }
 
 func TestExtraOverheadAndPagePenalty(t *testing.T) {
-	b := New(Config{BytesPerSec: 1000, BurstBytes: 100})
-	b.SetPagePenalty(40)
+	b := New(Config{BytesPerSec: 1000, BurstBytes: 100, PagePenaltyBytes: 40})
 	if !b.TryTransfer(0, 30, 20) { // 30+40+20 = 90
 		t.Fatal("rejected within budget")
 	}
 	if b.TryTransfer(0, 0, 0) { // 0+40 = 40 > 10 remaining
 		t.Fatal("page penalty not charged")
-	}
-	b.SetPagePenalty(-5)
-	if b.cfg.PagePenaltyBytes != 0 {
-		t.Fatal("negative penalty not clamped")
 	}
 }
 
@@ -110,8 +105,7 @@ func TestRegisterExportsCountersWithConservation(t *testing.T) {
 		penalty  = 16
 		pkt      = 100
 	)
-	b := New(Config{BytesPerSec: rate, BurstBytes: 1000, PerTransferOverhead: overhead})
-	b.SetPagePenalty(penalty)
+	b := New(Config{BytesPerSec: rate, BurstBytes: 1000, PerTransferOverhead: overhead, PagePenaltyBytes: penalty})
 	reg := metrics.NewRegistry()
 	b.Register(reg, metrics.L("link", "host0"))
 

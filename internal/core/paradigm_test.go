@@ -94,8 +94,8 @@ func TestCloseStopsCapture(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Closed() {
-		t.Fatal("Closed() false after Close")
+	if !e.closed {
+		t.Fatal("closed false after Close")
 	}
 	// Traffic after close never reaches host memory: pure wire drops.
 	src2 := trace.NewConstantRate(trace.ConstantRateConfig{Packets: 300, Start: sched.Now()})

@@ -120,10 +120,10 @@ func TestRandomBurstConservation(t *testing.T) {
 				t.Fatalf("seed %d %v: %d deferred releases never ran", seed, mode, h.pending)
 			}
 			for q := 0; q < queues; q++ {
-				if err := e.Pool(q).CheckInvariants(); err != nil {
+				if err := e.queues[q].pool.CheckInvariants(); err != nil {
 					t.Fatalf("seed %d %v queue %d: %v", seed, mode, q, err)
 				}
-				ps := e.Pool(q).Stats()
+				ps := e.queues[q].pool.Stats()
 				if ps.RecycleRejected != 0 {
 					t.Fatalf("seed %d %v: kernel rejected %d recycles", seed, mode, ps.RecycleRejected)
 				}

@@ -980,10 +980,6 @@ func (e *Engine) QueueStats(q int) QueueStats {
 	return qs
 }
 
-// Pool exposes queue q's ring buffer pool (tests and the public library
-// use it).
-func (e *Engine) Pool(q int) *mem.Pool { return e.queues[q].pool }
-
 // AppBusy returns the cumulative CPU time of queue q's application
 // threads.
 func (e *Engine) AppBusy(q int) vtime.Time {
@@ -997,12 +993,6 @@ func (e *Engine) AppBusy(q int) vtime.Time {
 // CaptureBusy returns the cumulative CPU time of queue q's capture
 // thread.
 func (e *Engine) CaptureBusy(q int) vtime.Time { return e.queues[q].capSv.Charged() }
-
-// CaptureQueueLen returns the user-space capture queue length of queue q.
-func (e *Engine) CaptureQueueLen(q int) int { return len(e.queues[q].captureQ) }
-
-// Mode returns the configured operating mode.
-func (e *Engine) Mode() Mode { return e.cfg.Mode }
 
 // Close implements the paper's Close operation (§3.2.1): it stops
 // capture on every queue — cancelling pending flush timers, detaching
@@ -1034,6 +1024,3 @@ func (e *Engine) Close() error {
 	}
 	return firstErr
 }
-
-// Closed reports whether Close has run.
-func (e *Engine) Closed() bool { return e.closed }

@@ -57,7 +57,7 @@ func oneQueueNIC(sched *vtime.Scheduler) *nic.NIC {
 func checkPools(t *testing.T, e *Engine) {
 	t.Helper()
 	for q := range e.queues {
-		if err := e.Pool(q).CheckInvariants(); err != nil {
+		if err := e.queues[q].pool.CheckInvariants(); err != nil {
 			t.Fatalf("queue %d: %v", q, err)
 		}
 	}
@@ -332,7 +332,7 @@ func TestForwardingRefcountDelaysRecycle(t *testing.T) {
 	if h.processed != 640 {
 		t.Fatalf("processed %d", h.processed)
 	}
-	st := e.Pool(0).Stats()
+	st := e.queues[0].pool.Stats()
 	if st.Recycled != 0 {
 		t.Fatalf("chunks recycled while packets held: %+v", st)
 	}
@@ -340,7 +340,7 @@ func TestForwardingRefcountDelaysRecycle(t *testing.T) {
 		done()
 	}
 	sched.Run()
-	if got := e.Pool(0).Stats().Recycled; got == 0 {
+	if got := e.queues[0].pool.Stats().Recycled; got == 0 {
 		t.Fatal("no chunks recycled after release")
 	}
 	checkPools(t, e)

@@ -569,23 +569,6 @@ func (inj *Injector) HandlerCrashed(nicID, queue int) bool {
 // it cannot.
 func (inj *Injector) Quiet() bool { return inj == nil || inj.pending == 0 }
 
-// Injected returns how many windows of kind k have activated.
-func (inj *Injector) Injected(k Kind) uint64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.injected[k]
-}
-
-// CorruptedFrames returns how many frames CorruptFrame actually
-// corrupted.
-func (inj *Injector) CorruptedFrames() uint64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.corrupted
-}
-
 // Register exports the injector's counters: one faults_injected_total
 // series per kind (labeled kind=...) plus faults_corrupted_frames_total.
 // All function-backed — sampled at snapshot time only.
@@ -620,6 +603,8 @@ type RandomConfig struct {
 // the same schedule. Draws that would fail Validate (a shadow-prone
 // window overlapping an earlier draw on the same target) are discarded
 // deterministically, so the result always installs cleanly.
+//
+//wirelint:allow deadexport test oracle: fleet's TestConservationUnderRandomChaos and bench's TestChaosProperties draw their fault storms from it
 func RandomSchedule(seed uint64, cfg RandomConfig) Schedule {
 	if cfg.NICs <= 0 {
 		cfg.NICs = 1

@@ -50,9 +50,9 @@ func TestWindowsOpenAndClose(t *testing.T) {
 	if !inj.Quiet() {
 		t.Fatal("injector not Quiet after all windows closed")
 	}
-	if inj.Injected(QueueHang) != 1 || inj.Injected(LinkFlap) != 1 || inj.Injected(DescStall) != 1 {
+	if inj.injected[QueueHang] != 1 || inj.injected[LinkFlap] != 1 || inj.injected[DescStall] != 1 {
 		t.Fatalf("injected counters wrong: %v %v %v",
-			inj.Injected(QueueHang), inj.Injected(LinkFlap), inj.Injected(DescStall))
+			inj.injected[QueueHang], inj.injected[LinkFlap], inj.injected[DescStall])
 	}
 }
 
@@ -327,7 +327,7 @@ func TestHostFaultQueries(t *testing.T) {
 	if len(closes) != 3 {
 		t.Fatalf("OnTransition closes = %d, want 3", len(closes))
 	}
-	if inj.Injected(HostCrash) != 2 || inj.Injected(AggLinkDown) != 1 || inj.Injected(HostBrownout) != 1 {
+	if inj.injected[HostCrash] != 2 || inj.injected[AggLinkDown] != 1 || inj.injected[HostBrownout] != 1 {
 		t.Fatal("host-kind injected counters wrong")
 	}
 }

@@ -255,21 +255,32 @@ func TestConservationUnderRandomChaos(t *testing.T) {
 
 func TestSteeringReSteerRestoreRoundTrip(t *testing.T) {
 	s := NewSteering(4)
+	// owned counts the table entries naming host h: hash i selects
+	// entry i.
+	owned := func(h int) int {
+		n := 0
+		for i := 0; i < nic.IndirectionEntries; i++ {
+			if s.Owner(uint32(i)) == h {
+				n++
+			}
+		}
+		return n
+	}
 	before := make([]int, 0, 4)
 	for h := 0; h < 4; h++ {
-		before = append(before, s.Owned(h))
+		before = append(before, owned(h))
 	}
 	moved := s.Apply(SteerOp{Kind: OpReSteer, Host: 2, Healthy: []int{0, 1, 3}})
 	if moved != before[2] {
 		t.Fatalf("ReSteer moved %d entries, want %d", moved, before[2])
 	}
-	if s.Owned(2) != 0 {
-		t.Fatalf("host 2 still owns %d entries after re-steer", s.Owned(2))
+	if owned(2) != 0 {
+		t.Fatalf("host 2 still owns %d entries after re-steer", owned(2))
 	}
 	s.Apply(SteerOp{Kind: OpRestore, Host: 2})
 	for h := 0; h < 4; h++ {
-		if s.Owned(h) != before[h] {
-			t.Fatalf("host %d owns %d after restore, want %d", h, s.Owned(h), before[h])
+		if owned(h) != before[h] {
+			t.Fatalf("host %d owns %d after restore, want %d", h, owned(h), before[h])
 		}
 	}
 }

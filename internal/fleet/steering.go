@@ -81,9 +81,6 @@ func NewSteering(hosts int) *Steering {
 	}
 }
 
-// Hosts returns the fleet size the table was built for.
-func (s *Steering) Hosts() int { return s.hosts }
-
 // Owner returns the capture host that owns a flow with the given
 // Toeplitz hash under SteeringKey, as this replica's indirection table
 // currently says. The hash is a pure function of the flow, so a caller
@@ -108,15 +105,4 @@ func (s *Steering) Apply(op SteerOp) int {
 	default:
 		panic(fmt.Sprintf("fleet: unknown steering op %d", op.Kind))
 	}
-}
-
-// Owned returns how many table entries currently name the host.
-func (s *Steering) Owned(host int) int {
-	n := 0
-	for i := 0; i < s.ind.Len(); i++ {
-		if s.ind.Entry(i) == host {
-			n++
-		}
-	}
-	return n
 }

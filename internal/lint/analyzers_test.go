@@ -8,48 +8,48 @@ import (
 func fixture(name string) string { return filepath.Join("testdata", "src", name) }
 
 func TestWalltimeFixture(t *testing.T) {
-	RunFixture(t, fixture("walltime"), WalltimeAnalyzer)
+	runFixture(t, fixture("walltime"), WalltimeAnalyzer)
 }
 
 func TestMaporderFixture(t *testing.T) {
-	RunFixture(t, fixture("maporder"), MaporderAnalyzer)
+	runFixture(t, fixture("maporder"), MaporderAnalyzer)
 }
 
 func TestHotpathFixture(t *testing.T) {
-	RunFixture(t, fixture("hotpath"), HotpathAnalyzer)
+	runFixture(t, fixture("hotpath"), HotpathAnalyzer)
 }
 
 func TestLockdisciplineFixture(t *testing.T) {
-	RunFixture(t, fixture("lockdiscipline"), LockAnalyzer)
+	runFixture(t, fixture("lockdiscipline"), LockAnalyzer)
 }
 
 func TestConcurrencyFixture(t *testing.T) {
-	RunFixture(t, fixture("concurrency"), ConcurrencyAnalyzer)
+	runFixture(t, fixture("concurrency"), ConcurrencyAnalyzer)
 }
 
 func TestHotpathFlowFixture(t *testing.T) {
-	RunFixture(t, fixture("hotpathflow"), HotpathFlowAnalyzer)
+	runFixture(t, fixture("hotpathflow"), HotpathFlowAnalyzer)
 }
 
 func TestDeterminismFixture(t *testing.T) {
-	RunFixture(t, fixture("determinism"), DeterminismAnalyzer)
+	runFixture(t, fixture("determinism"), DeterminismAnalyzer)
 }
 
 func TestConservationFixture(t *testing.T) {
-	RunFixture(t, fixture("conservation"), ConservationAnalyzer)
+	runFixture(t, fixture("conservation"), ConservationAnalyzer)
 }
 
 // TestDirectiveFixture runs the full suite so allow directives for any
 // rule resolve, and checks the malformed/unused directive findings.
 func TestDirectiveFixture(t *testing.T) {
-	RunFixture(t, fixture("directive"), Analyzers()...)
+	runFixture(t, fixture("directive"), Analyzers()...)
 }
 
 // TestDirectiveAccounting pins the summary contract the driver prints:
 // allowlisted findings are counted per rule and carry their reasons, so
 // exceptions stay visible instead of vanishing.
 func TestDirectiveAccounting(t *testing.T) {
-	m, err := LoadDir(fixture("directive"), "fix")
+	m, err := loadDir(fixture("directive"), "fix")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,4 +79,11 @@ func TestDirectiveAccounting(t *testing.T) {
 	if sum.Findings == 0 {
 		t.Fatal("expected live findings from the malformed-directive cases")
 	}
+}
+
+// TestDeadexportFixture loads a fixture module: the rule needs a
+// second package to see a cross-package use, public API beside
+// internal/, and a nested module the loader skips.
+func TestDeadexportFixture(t *testing.T) {
+	runFixture(t, fixture("deadexport"), DeadexportAnalyzer)
 }

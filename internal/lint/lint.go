@@ -44,7 +44,8 @@ import (
 // two run functions. Run is invoked once per loaded package and sees a
 // single type-checked unit; RunModule is invoked once per module with
 // the whole package set and the shared call graph — the interprocedural
-// analyzers (hotpathflow, determinism, conservation) use this form.
+// analyzers (hotpathflow, determinism, conservation) and deadexport use
+// this form.
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -120,12 +121,12 @@ func (f Finding) String() string {
 }
 
 // Analyzers returns the full wirelint suite in reporting order: the
-// five per-package analyzers followed by the three interprocedural
-// ones.
+// five per-package analyzers followed by the four module-wide ones
+// (three interprocedural passes and deadexport).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WalltimeAnalyzer, MaporderAnalyzer, HotpathAnalyzer, LockAnalyzer, ConcurrencyAnalyzer,
-		HotpathFlowAnalyzer, DeterminismAnalyzer, ConservationAnalyzer,
+		HotpathFlowAnalyzer, DeterminismAnalyzer, ConservationAnalyzer, DeadexportAnalyzer,
 	}
 }
 

@@ -272,35 +272,3 @@ func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 	}
 	return l.std.ImportFrom(path, dir, 0)
 }
-
-// LoadDir type-checks a single directory as one standalone
-// single-package module — the fixture loader behind the analyzer
-// tests. Fixture imports are limited to the standard library.
-func LoadDir(dir, pkgPath string) (*Module, error) {
-	fset := token.NewFileSet()
-	l := &loader{
-		root:    dir,
-		modpath: pkgPath,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		units:   make(map[string]*types.Package),
-		loading: make(map[string]bool),
-		src:     make(map[string][]byte),
-	}
-	nonTest, inTest, _, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	files := append(nonTest, inTest...)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	info := newInfo()
-	pkg, err := l.check(pkgPath, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Module{Root: dir, Path: pkgPath, Fset: fset, Pkgs: []*Package{
-		{PkgPath: pkgPath, Dir: dir, Files: files, Src: l.src, Types: pkg, Info: info},
-	}}, nil
-}

@@ -73,6 +73,8 @@ var allowBudget = map[string]int{
 	"internal/engines":  10,
 	"internal/mem":      9,
 	"internal/vtime":    3,
+	"internal/faults":   1,
+	"internal/metrics":  1,
 	"cmd/ci-gate":       4,
 	"internal/walltime": 2,
 }

@@ -1,0 +1,10 @@
+package a
+
+import "testing"
+
+func TestTestOnly(t *testing.T) {
+	TestOnly()
+	Oracle()
+	T{}.Extra()
+	Counter++
+}

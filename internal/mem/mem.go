@@ -1,8 +1,8 @@
 // Package mem simulates the host-memory side of packet capture: fixed-size
 // packet-buffer cells, chunks of cells occupying (simulated) physically
 // contiguous memory, ring buffer pools with the free/attached/captured
-// chunk life cycle from the WireCAP paper (§3.2.1), and the three address
-// spaces — DMA, kernel, process — a chunk is visible in.
+// chunk life cycle from the WireCAP paper (§3.2.1), and the process
+// address a captured chunk's metadata carries back on recycle.
 //
 // "Zero-copy" in the simulation means a chunk changes hands by metadata
 // only; the cell bytes stay put. The cost model in internal/core charges
@@ -12,7 +12,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/vtime"
@@ -58,31 +57,12 @@ func (id ChunkID) String() string {
 	return fmt.Sprintf("{nic %d, ring %d, chunk %d}", id.NIC, id.Ring, id.Chunk)
 }
 
-// Addr is a simulated memory address. Distinct address spaces use distinct
-// high bits so confusing them is detectable.
+// Addr is a simulated process address: where a user process sees a
+// cell of a mapped pool.
 type Addr uint64
 
-// Address-space tags.
-const (
-	dmaSpace    Addr = 0x1 << 60
-	kernelSpace Addr = 0x2 << 60
-	procSpace   Addr = 0x3 << 60
-	spaceMask   Addr = 0xf << 60
-)
-
-// Space returns a human-readable name of the address's space.
-func (a Addr) Space() string {
-	switch a & spaceMask {
-	case dmaSpace:
-		return "dma"
-	case kernelSpace:
-		return "kernel"
-	case procSpace:
-		return "process"
-	default:
-		return "invalid"
-	}
-}
+// procSpace tags process addresses, so that no valid one is zero.
+const procSpace Addr = 0x3 << 60
 
 // Chunk is a group of M packet-buffer cells occupying simulated physically
 // contiguous memory. A chunk is created by a Pool and never freed; only
@@ -106,12 +86,6 @@ type Chunk struct {
 	// count - base.
 	count int
 	base  int
-
-	// refs counts outstanding zero-copy references (packets attached to a
-	// transmit ring). A chunk with refs > 0 cannot be recycled yet.
-	refs int
-
-	memBase Addr // DMA base address; kernel/process addresses derive from it
 }
 
 // ID returns the chunk's global identity.
@@ -197,30 +171,14 @@ func (c *Chunk) GoodPending() int {
 // Full reports whether every cell holds a packet.
 func (c *Chunk) Full() bool { return c.count == len(c.cells) }
 
-// Retain adds a zero-copy reference (a packet handed to a TX ring).
-func (c *Chunk) Retain() { c.refs++ }
-
-// Release drops a zero-copy reference and reports whether none remain.
-func (c *Chunk) Release() bool {
-	if c.refs <= 0 {
-		panic(fmt.Sprintf("mem: Release of chunk %v with no references", c.id))
-	}
-	c.refs--
-	return c.refs == 0
-}
-
-// Refs returns the outstanding zero-copy reference count.
-func (c *Chunk) Refs() int { return c.refs }
-
-// DMAAddr returns the address the NIC uses for cell i.
-func (c *Chunk) DMAAddr(i int) Addr { return dmaSpace | (c.memBase + Addr(i*CellSize)) }
-
-// KernelAddr returns the address the kernel driver uses for cell i.
-func (c *Chunk) KernelAddr(i int) Addr { return kernelSpace | (c.memBase + Addr(i*CellSize)) }
-
 // ProcAddr returns the address a user process sees for cell i. It is only
-// valid while the owning pool is mapped.
-func (c *Chunk) ProcAddr(i int) Addr { return procSpace | (c.memBase + Addr(i*CellSize)) }
+// valid while the owning pool is mapped. Chunks lie back to back from
+// the pool's base, so the address follows from the chunk's index alone
+// and does not depend on what else the process built; Recycle checks the
+// NIC and ring before it compares addresses.
+func (c *Chunk) ProcAddr(i int) Addr {
+	return procSpace | Addr((c.id.Chunk*len(c.cells)+i)*CellSize)
+}
 
 // Meta is the metadata descriptor passed between kernel and user space for
 // a captured chunk: {ChunkID, process address, packet count}. Passing Meta
@@ -239,7 +197,6 @@ var (
 	ErrNotCaptured   = errors.New("mem: recycle of chunk not in captured state")
 	ErrBadProcAddr   = errors.New("mem: recycle metadata process address mismatch")
 	ErrBadPktCount   = errors.New("mem: recycle metadata packet count mismatch")
-	ErrStillRef      = errors.New("mem: recycle of chunk with outstanding references")
 	ErrNotMapped     = errors.New("mem: pool not mapped into process space")
 	ErrAlreadyMapped = errors.New("mem: pool already mapped")
 	ErrNoFreeChunk   = errors.New("mem: no free chunk in pool")
@@ -248,8 +205,8 @@ var (
 	// genuine pool exhaustion (ErrNoFreeChunk).
 	ErrTransientAlloc = errors.New("mem: transient allocation failure")
 	// ErrBadReclaim rejects emergency reclamation of a chunk that is free
-	// or still referenced.
-	ErrBadReclaim = errors.New("mem: reclaim of free or referenced chunk")
+	// or belongs to another pool.
+	ErrBadReclaim = errors.New("mem: reclaim of free or foreign chunk")
 )
 
 // PoolStats counts pool-level events.
@@ -286,11 +243,6 @@ type Pool struct {
 	traceNow func() vtime.Time
 }
 
-// nextBase allocates globally unique simulated physical addresses. It is
-// atomic so independent simulations may be built from concurrent
-// goroutines (the experiment harness runs scenarios in parallel).
-var nextBase atomic.Uint64
-
 // NewPool allocates a pool of r chunks with m cells each for the given
 // receive ring.
 func NewPool(nicID, ringID, m, r int) *Pool {
@@ -303,12 +255,11 @@ func NewPool(nicID, ringID, m, r int) *Pool {
 	for i := 0; i < r; i++ {
 		backing := make([]byte, m*CellSize)
 		c := &Chunk{
-			id:      ChunkID{NIC: nicID, Ring: ringID, Chunk: i},
-			pool:    p,
-			cells:   make([][]byte, m),
-			lens:    make([]int, m),
-			stamps:  make([]vtime.Time, m),
-			memBase: Addr(nextBase.Add(uint64(m*CellSize))) - Addr(m*CellSize),
+			id:     ChunkID{NIC: nicID, Ring: ringID, Chunk: i},
+			pool:   p,
+			cells:  make([][]byte, m),
+			lens:   make([]int, m),
+			stamps: make([]vtime.Time, m),
 		}
 		for j := 0; j < m; j++ {
 			c.cells[j] = backing[j*CellSize : (j+1)*CellSize : (j+1)*CellSize]
@@ -320,14 +271,8 @@ func NewPool(nicID, ringID, m, r int) *Pool {
 	return p
 }
 
-// M returns the cells-per-chunk geometry parameter.
-func (p *Pool) M() int { return p.m }
-
 // R returns the chunks-per-pool geometry parameter.
 func (p *Pool) R() int { return p.r }
-
-// Capacity returns the total packet capacity R*M.
-func (p *Pool) Capacity() int { return p.m * p.r }
 
 // MemoryBytes returns the kernel memory the pool occupies (R*M*CellSize),
 // the quantity the paper's §5a discusses.
@@ -358,9 +303,6 @@ func (p *Pool) Unmap() error {
 	p.mapped = false
 	return nil
 }
-
-// Mapped reports whether the pool is mapped into a process.
-func (p *Pool) Mapped() bool { return p.mapped }
 
 // SetAllocFault installs (or clears, with nil) the transient allocation
 // fault hook consulted by AllocFree.
@@ -428,8 +370,10 @@ func (p *Pool) Capture(c *Chunk) (Meta, error) {
 
 // Recycle validates user-supplied metadata and returns the chunk to the
 // free list (captured -> free). Validation is strict: unknown IDs, wrong
-// state, forged addresses, wrong counts, and chunks with outstanding
-// transmit references are all rejected without touching kernel state.
+// state, forged addresses and wrong counts are all rejected without
+// touching kernel state. Holding a chunk back while its packets are still
+// in use (forwarding, §3.2.1) is the caller's job: internal/core recycles
+// a chunk only once none of its packets is outstanding.
 //
 //wirecap:hotpath
 func (p *Pool) Recycle(m Meta) error {
@@ -451,10 +395,6 @@ func (p *Pool) Recycle(m Meta) error {
 		p.stats.RecycleRejected++
 		return fmt.Errorf("%w: %v: meta %d, chunk %d", ErrBadPktCount, m.ID, m.PktCount, c.count-c.base) //wirelint:allow hotpath rejection path is cold; runs once per invalid recycle
 	}
-	if c.refs > 0 {
-		p.stats.RecycleRejected++
-		return fmt.Errorf("%w: %v has %d refs", ErrStillRef, m.ID, c.refs) //wirelint:allow hotpath rejection path is cold; runs once per invalid recycle
-	}
 	c.state = StateFree
 	c.count = 0
 	c.base = 0
@@ -467,13 +407,11 @@ func (p *Pool) Recycle(m Meta) error {
 // discarding its contents — the kernel's emergency path when the pool is
 // exhausted and user space is not recycling. The caller accounts the
 // PendingCount packets it throws away as reclaim drops before calling.
-// Chunks with outstanding transmit references cannot be reclaimed (the
-// wire still reads their cells).
 //
 //wirecap:hotpath
 func (p *Pool) Reclaim(c *Chunk) error {
-	if c.pool != p || c.state == StateFree || c.refs > 0 {
-		return fmt.Errorf("%w: %v state %v refs %d", ErrBadReclaim, c.id, c.state, c.refs) //wirelint:allow hotpath rejection path is cold; runs once per invalid reclaim
+	if c.pool != p || c.state == StateFree {
+		return fmt.Errorf("%w: %v state %v", ErrBadReclaim, c.id, c.state) //wirelint:allow hotpath rejection path is cold; runs once per invalid reclaim
 	}
 	if p.trace != nil {
 		p.trace.Action("pool_reclaim", p.nicID, p.ringID, int64(c.PendingCount()), p.traceNow())
@@ -497,9 +435,8 @@ func (p *Pool) ForEachAttached(fn func(*Chunk)) {
 	}
 }
 
-// Lookup returns the chunk for an ID, for kernel-side use (the user-space
-// side only ever sees Meta).
-func (p *Pool) Lookup(id ChunkID) (*Chunk, bool) {
+// lookup returns the chunk for an ID.
+func (p *Pool) lookup(id ChunkID) (*Chunk, bool) {
 	if id.NIC != p.nicID || id.Ring != p.ringID || id.Chunk < 0 || id.Chunk >= len(p.chunks) {
 		return nil, false
 	}
@@ -507,9 +444,10 @@ func (p *Pool) Lookup(id ChunkID) (*Chunk, bool) {
 }
 
 // CheckInvariants verifies the pool's conservation invariant: every chunk
-// is in exactly one state, free chunks are exactly the free list, and no
-// free or attached chunk holds references. Property tests call it after
-// random operation sequences.
+// is in exactly one state and free chunks are exactly the free list.
+// Property tests call it after random operation sequences.
+//
+//wirelint:allow deadexport test oracle: core's checkPools (TestForwardingRefcountDelaysRecycle and others) and TestRandomBurstConservation call it
 func (p *Pool) CheckInvariants() error {
 	onFree := make(map[ChunkID]bool, len(p.free))
 	for _, c := range p.free {
@@ -525,9 +463,6 @@ func (p *Pool) CheckInvariants() error {
 			freeCount++
 			if !onFree[c.id] {
 				return fmt.Errorf("mem: free chunk %v not on free list", c.id)
-			}
-			if c.refs != 0 {
-				return fmt.Errorf("mem: free chunk %v has %d refs", c.id, c.refs)
 			}
 		case StateAttached, StateCaptured:
 			if onFree[c.id] {

@@ -18,11 +18,8 @@ func newMappedPool(t *testing.T, m, r int) *Pool {
 
 func TestPoolGeometry(t *testing.T) {
 	p := NewPool(1, 2, 256, 100)
-	if p.M() != 256 || p.R() != 100 {
-		t.Fatalf("geometry %d/%d", p.M(), p.R())
-	}
-	if p.Capacity() != 25600 {
-		t.Fatalf("capacity %d", p.Capacity())
+	if p.m != 256 || p.R() != 100 {
+		t.Fatalf("geometry %d/%d", p.m, p.R())
 	}
 	if p.MemoryBytes() != 256*100*CellSize {
 		t.Fatalf("memory %d", p.MemoryBytes())
@@ -153,35 +150,6 @@ func TestRecycleValidation(t *testing.T) {
 	}
 }
 
-func TestRecycleWithOutstandingRefs(t *testing.T) {
-	p := newMappedPool(t, 1, 1)
-	c, _ := p.AllocFree()
-	copy(c.Cell(0), []byte{1})
-	c.SetPacket(0, 1, 0)
-	meta, _ := p.Capture(c)
-	c.Retain()
-	if err := p.Recycle(meta); !errors.Is(err, ErrStillRef) {
-		t.Fatalf("err = %v", err)
-	}
-	if !c.Release() {
-		t.Fatal("Release did not report zero refs")
-	}
-	if err := p.Recycle(meta); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReleaseUnderflowPanics(t *testing.T) {
-	p := NewPool(0, 0, 1, 1)
-	c, _ := p.AllocFree()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release with zero refs did not panic")
-		}
-	}()
-	c.Release()
-}
-
 func TestSetPacketOutOfOrderPanics(t *testing.T) {
 	p := NewPool(0, 0, 4, 1)
 	c, _ := p.AllocFree()
@@ -193,20 +161,35 @@ func TestSetPacketOutOfOrderPanics(t *testing.T) {
 	c.SetPacket(2, 1, 0)
 }
 
-func TestAddressSpaces(t *testing.T) {
-	p := NewPool(0, 0, 4, 2)
-	c := p.chunks[0]
-	if c.DMAAddr(0).Space() != "dma" || c.KernelAddr(0).Space() != "kernel" || c.ProcAddr(0).Space() != "process" {
-		t.Fatal("address space tags wrong")
+// TestProcAddrsIndependentOfOtherPools checks that a pool's process
+// addresses follow from its own geometry: building other pools first
+// moves none of them, cells are CellSize apart, and chunks do not
+// overlap.
+func TestProcAddrsIndependentOfOtherPools(t *testing.T) {
+	addrs := func(p *Pool) []Addr {
+		var out []Addr
+		for _, c := range p.chunks {
+			for i := 0; i < c.Cells(); i++ {
+				out = append(out, c.ProcAddr(i))
+			}
+		}
+		return out
 	}
-	// Cells within a chunk are contiguous at CellSize stride.
-	if c.DMAAddr(1)-c.DMAAddr(0) != CellSize {
-		t.Fatalf("cell stride = %d", c.DMAAddr(1)-c.DMAAddr(0))
+	first := addrs(NewPool(0, 1, 4, 3))
+	for i := 0; i < 5; i++ {
+		NewPool(i, 0, 8, 4)
 	}
-	// Distinct chunks never overlap.
-	c2 := p.chunks[1]
-	if c.DMAAddr(0) == c2.DMAAddr(0) {
-		t.Fatal("chunks share a DMA base")
+	again := addrs(NewPool(0, 1, 4, 3))
+	if len(first) != 12 || len(again) != len(first) {
+		t.Fatalf("got %d and %d addresses, want 12", len(first), len(again))
+	}
+	for i := range first {
+		if first[i] != again[i] {
+			t.Fatalf("address %d moved from %#x to %#x after other pools were built", i, first[i], again[i])
+		}
+		if i > 0 && first[i]-first[i-1] != CellSize {
+			t.Fatalf("address %d is %d bytes after the one before, want %d", i, first[i]-first[i-1], CellSize)
+		}
 	}
 }
 
@@ -240,8 +223,8 @@ func TestMapUnmap(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	p := NewPool(3, 1, 2, 2)
-	if _, ok := p.Lookup(ChunkID{NIC: 3, Ring: 1, Chunk: 1}); !ok {
-		t.Fatal("Lookup of valid chunk failed")
+	if _, ok := p.lookup(ChunkID{NIC: 3, Ring: 1, Chunk: 1}); !ok {
+		t.Fatal("lookup of valid chunk failed")
 	}
 	for _, id := range []ChunkID{
 		{NIC: 0, Ring: 1, Chunk: 1},
@@ -249,8 +232,8 @@ func TestLookup(t *testing.T) {
 		{NIC: 3, Ring: 1, Chunk: 2},
 		{NIC: 3, Ring: 1, Chunk: -1},
 	} {
-		if _, ok := p.Lookup(id); ok {
-			t.Errorf("Lookup(%v) succeeded", id)
+		if _, ok := p.lookup(id); ok {
+			t.Errorf("lookup(%v) succeeded", id)
 		}
 	}
 }

@@ -102,6 +102,8 @@ func (r *Registry) Snapshot(at vtime.Time) Snapshot {
 }
 
 // Get returns the series with the given name and exact label set.
+//
+//wirelint:allow deadexport test oracle: bus's TestRegisterExportsCountersWithConservation and fleet's merge harness (agg_test.go) read series through it
 func (s Snapshot) Get(name string, labels ...Label) (SeriesValue, bool) {
 	_, key := canonicalize(labels)
 	for _, sv := range s.Series {

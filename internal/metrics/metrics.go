@@ -96,11 +96,6 @@ type Gauge struct {
 //wirecap:hotpath
 func (g *Gauge) Set(v int64) { g.v = v }
 
-// Add moves the gauge by d.
-//
-//wirecap:hotpath
-func (g *Gauge) Add(d int64) { g.v += d }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v }
 
@@ -118,9 +113,6 @@ func (h *Histogram) Record(v int64) { h.h.Record(v) }
 
 // Count returns the number of samples recorded.
 func (h *Histogram) Count() uint64 { return h.h.Count() }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() int64 { return h.h.Sum() }
 
 // Percentile estimates the q-quantile.
 func (h *Histogram) Percentile(q float64) int64 { return h.h.Percentile(q) }
@@ -177,17 +169,6 @@ type Registry struct {
 // bound.
 func NewRegistry() *Registry {
 	return &Registry{maxSeries: DefaultMaxSeries, families: make(map[string]*family)}
-}
-
-// SetMaxSeries adjusts the per-name cardinality bound. It affects only
-// registrations that happen after the call.
-func (r *Registry) SetMaxSeries(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.maxSeries = n
-	r.mu.Unlock()
 }
 
 // canonicalize validates and sorts labels, returning the sorted copy and
@@ -318,15 +299,4 @@ func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {
 	r.mu.Lock()
 	s.gf = fn
 	r.mu.Unlock()
-}
-
-// Dropped returns how many distinct label combinations of name were
-// collapsed into the overflow series by the cardinality bound.
-func (r *Registry) Dropped(name string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f := r.families[name]; f != nil {
-		return f.dropped
-	}
-	return 0
 }

@@ -49,7 +49,7 @@ func TestDuplicateLabelKeyPanics(t *testing.T) {
 
 func TestCardinalityBound(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(4)
+	r.maxSeries = 4
 	var within []*Counter
 	for i := 0; i < 4; i++ {
 		within = append(within, r.Counter("bounded", L("i", fmt.Sprint(i))))
@@ -64,8 +64,8 @@ func TestCardinalityBound(t *testing.T) {
 			t.Fatal("in-bound counter aliases the overflow series")
 		}
 	}
-	if d := r.Dropped("bounded"); d != 2 {
-		t.Fatalf("Dropped = %d, want 2", d)
+	if d := dropped(r, "bounded"); d != 2 {
+		t.Fatalf("dropped = %d, want 2", d)
 	}
 	over1.Add(7)
 	snap := r.Snapshot(0)
@@ -82,11 +82,11 @@ func TestCardinalityBound(t *testing.T) {
 }
 
 // TestLabelsOverflowed: a cardinality spill must be observable from the
-// snapshot itself, not only via the Dropped accessor — operators reading
+// snapshot itself, not only via the registry's own count — operators reading
 // an export need to know which families hit the bound and by how much.
 func TestLabelsOverflowed(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(2)
+	r.maxSeries = 2
 	if _, ok := r.Snapshot(0).Get(OverflowedMetric, L("metric", "hot")); ok {
 		t.Fatal("labels_overflowed exists before any spill")
 	}
@@ -101,15 +101,15 @@ func TestLabelsOverflowed(t *testing.T) {
 	if sv.Counter != 3 { // 5 registered, bound 2
 		t.Fatalf("labels_overflowed = %d, want 3", sv.Counter)
 	}
-	if d := r.Dropped("hot"); d != sv.Counter {
-		t.Fatalf("Dropped (%d) disagrees with labels_overflowed (%d)", d, sv.Counter)
+	if d := dropped(r, "hot"); d != sv.Counter {
+		t.Fatalf("dropped (%d) disagrees with labels_overflowed (%d)", d, sv.Counter)
 	}
 	// Collapsed combinations are not remembered, so a repeat lookup of one
-	// counts again — labels_overflowed tracks Dropped exactly, by design.
+	// counts again — labels_overflowed tracks the dropped count exactly, by design.
 	r.Counter("hot", L("i", "3")).Inc()
 	sv, _ = r.Snapshot(0).Get(OverflowedMetric, L("metric", "hot"))
-	if d := r.Dropped("hot"); d != 4 || sv.Counter != d {
-		t.Fatalf("after repeat lookup: Dropped = %d, labels_overflowed = %d, want both 4", d, sv.Counter)
+	if d := dropped(r, "hot"); d != 4 || sv.Counter != d {
+		t.Fatalf("after repeat lookup: dropped = %d, labels_overflowed = %d, want both 4", d, sv.Counter)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestLabelsOverflowed(t *testing.T) {
 // without recursing.
 func TestLabelsOverflowedSelfBound(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(1)
+	r.maxSeries = 1
 	// Each family needs two combinations to spill once; with bound 1 the
 	// second registration overflows and mints one labels_overflowed series
 	// per family name — the third family's spill overflows labels_overflowed.
@@ -127,8 +127,8 @@ func TestLabelsOverflowedSelfBound(t *testing.T) {
 		r.Counter(name, L("i", "0"))
 		r.Counter(name, L("i", "1"))
 	}
-	if d := r.Dropped(OverflowedMetric); d != 2 {
-		t.Fatalf("labels_overflowed Dropped = %d, want 2", d)
+	if d := dropped(r, OverflowedMetric); d != 2 {
+		t.Fatalf("labels_overflowed dropped = %d, want 2", d)
 	}
 	if _, ok := r.Snapshot(0).Get(OverflowedMetric, L(OverflowLabel, "true")); !ok {
 		t.Fatal("labels_overflowed's own overflow series missing")
@@ -262,9 +262,19 @@ func TestHotPathAllocs(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(42)
-		g.Add(-1)
 		h.Record(12345)
 	}); a > 0 {
 		t.Errorf("hot-path updates allocate %.2f/op, want 0", a)
 	}
+}
+
+// dropped returns how many distinct label combinations of name the
+// cardinality bound collapsed into the overflow series.
+func dropped(r *Registry, name string) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f := r.families[name]; f != nil {
+		return f.dropped
+	}
+	return 0
 }

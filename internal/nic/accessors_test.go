@@ -18,23 +18,20 @@ func TestNICAccessors(t *testing.T) {
 		t.Fatalf("line rate %v", n.LineRateBps())
 	}
 	r := n.Rx(1)
-	if r.ID() != 1 || r.Fill() != 0 {
-		t.Fatalf("ring id %d fill %d", r.ID(), r.Fill())
+	if r.id != 1 || r.fill != 0 {
+		t.Fatalf("ring id %d fill %d", r.id, r.fill)
 	}
 	r.SetBusOverhead(12)
-	if r.BusOverhead() != 12 {
+	if r.busOverhead != 12 {
 		t.Fatal("bus overhead not stored")
 	}
 	r.SetBusOverhead(-4)
-	if r.BusOverhead() != 0 {
+	if r.busOverhead != 0 {
 		t.Fatal("negative overhead not clamped")
 	}
 	tx := n.Tx(1)
-	if tx.ID() != 1 || tx.Queued() != 0 {
-		t.Fatalf("tx id %d queued %d", tx.ID(), tx.Queued())
-	}
-	if got := n.WireInterval(60); got != WireInterval(LineRate10G, 60) {
-		t.Fatalf("WireInterval mismatch: %v", got)
+	if tx.id != 1 || len(tx.queue) != 0 {
+		t.Fatalf("tx id %d queued %d", tx.id, len(tx.queue))
 	}
 }
 
@@ -69,13 +66,12 @@ func TestDescStateStrings(t *testing.T) {
 }
 
 func TestRSSCustomKeyAndTable(t *testing.T) {
-	s := NewRSS(4)
 	// A custom indirection table that sends everything to queue 2.
 	table := make([]int, IndirectionEntries)
 	for i := range table {
 		table[i] = 2
 	}
-	s.SetTable(table)
+	s := &RSSSteering{key: DefaultRSSKey, tt: newToeplitzTable(DefaultRSSKey[:]), ind: &Indirection{table: table}}
 	b := packet.NewBuilder()
 	buf := make([]byte, packet.MaxFrameLen)
 	frame := b.Build(buf, packet.FlowKey{
@@ -96,7 +92,7 @@ func TestRSSCustomKeyAndTable(t *testing.T) {
 	for i := range key {
 		key[i] = byte(i * 7)
 	}
-	s.SetKey(key)
+	s.key, s.tt = key, newToeplitzTable(key[:])
 	if q, _ := s.Queue(&d); q != 2 {
 		t.Fatal("custom key broke the indirection table")
 	}

@@ -317,13 +317,6 @@ func (n *NIC) Stats() Stats {
 	return s
 }
 
-// WireInterval returns the minimum inter-frame interval for frames of the
-// given length at the NIC's line rate (14.88 Mp/s for 64-byte frames at
-// 10 GbE).
-func (n *NIC) WireInterval(frameLen int) vtime.Time {
-	return WireInterval(n.cfg.LineRateBps, frameLen)
-}
-
 // WireInterval returns the serialization interval of a frame (including
 // preamble, FCS, and inter-frame gap) at the given line rate.
 func WireInterval(lineRateBps float64, frameLen int) vtime.Time {

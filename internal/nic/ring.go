@@ -94,17 +94,11 @@ func newRxRing(nicID, id, n int) *RxRing {
 	return &RxRing{nicID: nicID, id: id, desc: make([]Desc, n)}
 }
 
-// ID returns the queue index of this ring.
-func (r *RxRing) ID() int { return r.id }
-
 // Size returns the number of descriptors.
 func (r *RxRing) Size() int { return len(r.desc) }
 
 // Desc returns descriptor i for engine inspection and refill.
 func (r *RxRing) Desc(i int) *Desc { return &r.desc[i] }
-
-// Fill returns the index the next packet will be written to.
-func (r *RxRing) Fill() int { return r.fill }
 
 // Stats returns the ring's counters.
 func (r *RxRing) Stats() RxStats { return r.stats }
@@ -119,9 +113,6 @@ func (r *RxRing) SetBusOverhead(bytes int) {
 	}
 	r.busOverhead = bytes
 }
-
-// BusOverhead returns the engine's extra per-packet bus traffic.
-func (r *RxRing) BusOverhead() int { return r.busOverhead }
 
 // Refill arms descriptor i with an empty buffer (-> ready).
 //
@@ -236,14 +227,8 @@ func newTxRing(id, capacity int, sched *vtime.Scheduler, bytesPerSec float64) *T
 	return t
 }
 
-// ID returns the queue index of this ring.
-func (t *TxRing) ID() int { return t.id }
-
 // Stats returns the ring's counters.
 func (t *TxRing) Stats() TxStats { return t.stats }
-
-// Queued returns the number of packets awaiting transmission.
-func (t *TxRing) Queued() int { return len(t.queue) }
 
 // Attach enqueues a packet for transmission by reference (zero-copy). It
 // returns false when the ring is full; the caller keeps ownership then.

@@ -165,22 +165,10 @@ func NewIndirection(entries, n int) *Indirection {
 	return t
 }
 
-// Len returns the table size.
-func (t *Indirection) Len() int { return len(t.table) }
-
 // Lookup returns the target for hash h.
 //
 //wirecap:hotpath
 func (t *Indirection) Lookup(h uint32) int { return t.table[h%uint32(len(t.table))] }
-
-// Entry returns table entry i.
-func (t *Indirection) Entry(i int) int { return t.table[i] }
-
-// Set replaces the table with a copy of entries.
-func (t *Indirection) Set(entries []int) {
-	t.table = make([]int, len(entries))
-	copy(t.table, entries)
-}
 
 // Clone returns an independent copy — fleet hosts each hold a private
 // replica updated by broadcast re-steer operations, and applying the
@@ -240,18 +228,6 @@ func NewRSS(n int) *RSSSteering {
 	s := &RSSSteering{key: DefaultRSSKey, ind: NewIndirection(IndirectionEntries, n)}
 	s.tt = newToeplitzTable(s.key[:])
 	return s
-}
-
-// SetKey replaces the hash key.
-func (s *RSSSteering) SetKey(key [40]byte) {
-	s.key = key
-	s.tt = newToeplitzTable(s.key[:])
-}
-
-// SetTable replaces the indirection table. Entries must name valid queues;
-// the caller owns that contract.
-func (s *RSSSteering) SetTable(table []int) {
-	s.ind.Set(table)
 }
 
 // ReSteerQueue implements QueueReSteerer: every indirection-table entry

@@ -856,12 +856,3 @@ func (r *Recorder) StageCost(engine string, queue int, stage string, d vtime.Tim
 	e.ns += d
 	e.count++
 }
-
-// DropTotal returns the complete per-cause drop count (maintained even
-// when the ledger's record list is capped).
-func (r *Recorder) DropTotal(c DropCause) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropTotals[c]
-}

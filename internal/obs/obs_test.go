@@ -130,8 +130,8 @@ func TestDropLedger(t *testing.T) {
 	if p.Drop != "desc_depletion" || p.Stamps[len(p.Stamps)-1].Stage != StageDrop {
 		t.Fatalf("dropped trace not terminated: drop=%q stamps=%v", p.Drop, p.Stamps)
 	}
-	if r.DropTotal(DropDescDepletion) != 2 {
-		t.Fatalf("DropTotal = %d, want 2", r.DropTotal(DropDescDepletion))
+	if r.dropTotals[DropDescDepletion] != 2 {
+		t.Fatalf("dropTotals = %d, want 2", r.dropTotals[DropDescDepletion])
 	}
 }
 
@@ -263,7 +263,6 @@ func TestNilRecorderZeroAllocs(t *testing.T) {
 		r.FaultClose("k", 0, 0, 1)
 		r.Action("k", 0, 0, 1, 1)
 		r.StageCost("e", 0, "s", 1)
-		_ = r.DropTotal(DropLink)
 		_ = r.Sampled(f)
 	}); a > 0 {
 		t.Errorf("nil-recorder hooks allocate %.2f/op, want 0", a)

@@ -87,7 +87,7 @@ func FuzzBuildDecode(f *testing.F) {
 		if d.Flow != flow {
 			t.Fatalf("flow %v != %v", d.Flow, flow)
 		}
-		if !VerifyIPv4Checksum(&d) {
+		if !verifyIPv4Checksum(&d) {
 			t.Fatal("built frame has bad IPv4 checksum")
 		}
 		if !bytes.Equal(d.Payload(), payload) {

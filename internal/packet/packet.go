@@ -87,18 +87,17 @@ func (f FlowKey) String() string {
 	return fmt.Sprintf("%s %s:%d > %s:%d", proto, f.Src, f.SrcPort, f.Dst, f.DstPort)
 }
 
-// Reverse returns the flow in the opposite direction.
-func (f FlowKey) Reverse() FlowKey {
+// reverse returns the flow in the opposite direction.
+func (f FlowKey) reverse() FlowKey {
 	return FlowKey{Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort, Proto: f.Proto}
 }
 
 // Decoding errors.
 var (
-	ErrTruncated   = errors.New("packet: truncated frame")
-	ErrNotIP       = errors.New("packet: not an IPv4/IPv6 frame")
-	ErrBadVersion  = errors.New("packet: bad IP version")
-	ErrBadHdrLen   = errors.New("packet: bad IP header length")
-	ErrBadChecksum = errors.New("packet: bad IPv4 header checksum")
+	ErrTruncated  = errors.New("packet: truncated frame")
+	ErrNotIP      = errors.New("packet: not an IPv4/IPv6 frame")
+	ErrBadVersion = errors.New("packet: bad IP version")
+	ErrBadHdrLen  = errors.New("packet: bad IP header length")
 )
 
 // Decoded is the parsed view of a frame. Slices alias the original frame
@@ -133,8 +132,8 @@ func (d *Decoded) Payload() []byte {
 }
 
 // Decode parses an Ethernet frame through the transport header. It does
-// not verify the IPv4 checksum (use VerifyIPv4Checksum); real NICs check
-// it in hardware and capture engines never recompute it per packet.
+// not verify the IPv4 checksum: real NICs check it in hardware and
+// capture engines never recompute it per packet.
 func Decode(frame []byte, out *Decoded) error {
 	if len(frame) < EthernetHeaderLen {
 		return ErrTruncated
@@ -269,14 +268,4 @@ func checksum(sum uint64, b []byte) uint16 {
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
-}
-
-// VerifyIPv4Checksum reports whether the IPv4 header checksum of a decoded
-// frame is valid.
-func VerifyIPv4Checksum(d *Decoded) bool {
-	if d.IPVersion != 4 {
-		return false
-	}
-	hdr := d.Frame[EthernetHeaderLen : EthernetHeaderLen+d.IPHeaderLen]
-	return Checksum(hdr) == 0
 }

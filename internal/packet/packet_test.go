@@ -37,7 +37,7 @@ func TestBuildDecodeUDPRoundTrip(t *testing.T) {
 	if !bytes.Equal(d.Payload()[:len(payload)], payload) {
 		t.Fatalf("payload = %q", d.Payload())
 	}
-	if !VerifyIPv4Checksum(&d) {
+	if !verifyIPv4Checksum(&d) {
 		t.Fatal("IPv4 checksum invalid")
 	}
 }
@@ -161,7 +161,7 @@ func TestCorruptedChecksumDetected(t *testing.T) {
 	if err := Decode(frame, &d); err != nil {
 		t.Fatal(err)
 	}
-	if VerifyIPv4Checksum(&d) {
+	if verifyIPv4Checksum(&d) {
 		t.Fatal("corrupted header passed checksum")
 	}
 }
@@ -184,12 +184,12 @@ func TestChecksumKnownVectors(t *testing.T) {
 
 func TestFlowKeyReverse(t *testing.T) {
 	f := testFlow()
-	r := f.Reverse()
+	r := f.reverse()
 	if r.Src != f.Dst || r.Dst != f.Src || r.SrcPort != f.DstPort || r.DstPort != f.SrcPort {
-		t.Fatalf("Reverse = %v", r)
+		t.Fatalf("reverse = %v", r)
 	}
-	if r.Reverse() != f {
-		t.Fatal("double Reverse not identity")
+	if r.reverse() != f {
+		t.Fatal("double reverse not identity")
 	}
 }
 
@@ -243,7 +243,7 @@ func TestBuildDecodePropertyRoundTrip(t *testing.T) {
 		if err := Decode(frame, &d); err != nil {
 			return false
 		}
-		return d.Flow == flow && VerifyIPv4Checksum(&d)
+		return d.Flow == flow && verifyIPv4Checksum(&d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestBuildTCPSeg(t *testing.T) {
 	if got := binary.BigEndian.Uint32(frame[d.L4Offset+4 : d.L4Offset+8]); got != 0xdeadbeef {
 		t.Fatalf("seq = %#x", got)
 	}
-	if !VerifyIPv4Checksum(&d) {
+	if !verifyIPv4Checksum(&d) {
 		t.Fatal("bad checksum")
 	}
 }
@@ -323,4 +323,14 @@ func TestBuildTCPSegRejectsUDP(t *testing.T) {
 	}()
 	b := NewBuilder()
 	b.BuildTCPSeg(make([]byte, MaxFrameLen), testFlow(), 0, TCPSyn, nil)
+}
+
+// verifyIPv4Checksum reports whether the IPv4 header checksum of a decoded
+// frame is valid.
+func verifyIPv4Checksum(d *Decoded) bool {
+	if d.IPVersion != 4 {
+		return false
+	}
+	hdr := d.Frame[EthernetHeaderLen : EthernetHeaderLen+d.IPHeaderLen]
+	return Checksum(hdr) == 0
 }

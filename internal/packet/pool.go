@@ -2,11 +2,11 @@ package packet
 
 import "sync"
 
-// Pools for the two scratch objects every per-packet path needs: a
-// full-size frame buffer and a Decoded header view. Both are safe for
-// concurrent use — benchmark sweeps run independent simulations on
-// several goroutines — and hand back fully grown objects, so a steady
-// state borrow/return cycle allocates nothing.
+// A pool of full-size frame buffers, the scratch every per-packet path
+// needs. It is safe for concurrent use — benchmark sweeps run
+// independent simulations on several goroutines — and hands back fully
+// grown buffers, so a steady-state borrow/return cycle allocates
+// nothing.
 
 var framePool = sync.Pool{
 	New: func() any {
@@ -34,19 +34,4 @@ func PutFrameBuf(b *[]byte) {
 	}
 	*b = (*b)[:MaxFrameLen]
 	framePool.Put(b)
-}
-
-var decodedPool = sync.Pool{
-	New: func() any { return new(Decoded) },
-}
-
-// GetDecoded borrows a Decoded header scratch.
-func GetDecoded() *Decoded { return decodedPool.Get().(*Decoded) }
-
-// PutDecoded returns a Decoded to the pool. The slices inside alias
-// whatever frame was last decoded into it, so return it only once that
-// frame is no longer interesting.
-func PutDecoded(d *Decoded) {
-	*d = Decoded{}
-	decodedPool.Put(d)
 }

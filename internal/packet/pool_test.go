@@ -14,37 +14,11 @@ func TestFrameBufPoolRoundTrip(t *testing.T) {
 	PutFrameBuf(&small)
 }
 
-func TestDecodedPoolResets(t *testing.T) {
-	d := GetDecoded()
-	frame := testUDPFrame(t)
-	if err := Decode(frame, d); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	PutDecoded(d)
-	d2 := GetDecoded()
-	if d2.Frame != nil || d2.IPVersion != 0 {
-		t.Fatal("pooled Decoded not reset")
-	}
-	PutDecoded(d2)
-}
-
-func testUDPFrame(t *testing.T) []byte {
-	t.Helper()
-	b := NewBuilder()
-	buf := make([]byte, MaxFrameLen)
-	return b.Build(buf, FlowKey{
-		Src: IPv4FromUint32(0x83E10201), Dst: IPv4FromUint32(0xc0a80001),
-		SrcPort: 1000, DstPort: 2000, Proto: ProtoUDP,
-	}, make([]byte, 10))
-}
-
 func TestPoolSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		b := GetFrameBuf()
 		(*b)[0] = 1
 		PutFrameBuf(b)
-		d := GetDecoded()
-		PutDecoded(d)
 	}); n > 0 {
 		t.Errorf("pool round trip allocates %.1f/op, want 0", n)
 	}

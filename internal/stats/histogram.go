@@ -141,9 +141,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	if h.count == 0 {

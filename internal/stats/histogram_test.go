@@ -144,12 +144,3 @@ func TestMerge(t *testing.T) {
 		t.Fatal("merging empty changed count")
 	}
 }
-
-func TestReset(t *testing.T) {
-	var h Histogram
-	h.Record(9)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}

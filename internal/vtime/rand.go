@@ -94,8 +94,8 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// ExpFloat64 returns an exponentially distributed value with mean 1.
-func (r *Rand) ExpFloat64() float64 {
+// expFloat64 returns an exponentially distributed value with mean 1.
+func (r *Rand) expFloat64() float64 {
 	for {
 		u := r.Float64()
 		if u > 0 {

@@ -26,12 +26,6 @@ func NewServer(s *Scheduler, core *Core) *Server {
 	return &Server{sched: s, core: core}
 }
 
-// Busy reports whether the server has unfinished work at the current time.
-func (sv *Server) Busy() bool { return sv.busyUntil > sv.sched.Now() }
-
-// BusyUntil returns the completion time of all accepted work.
-func (sv *Server) BusyUntil() Time { return sv.busyUntil }
-
 // Charge accepts a work item requiring d of service and returns the virtual
 // time at which it completes. Work is serialized: if the server is busy the
 // item starts when the previous items finish.
@@ -90,9 +84,6 @@ func (c *Core) SetKernelShare(f float64) {
 	}
 	c.kernelShare = f
 }
-
-// KernelShare returns the current kernel share.
-func (c *Core) KernelShare() float64 { return c.kernelShare }
 
 func (c *Core) scale(d Time) Time {
 	if c.kernelShare <= 0 {

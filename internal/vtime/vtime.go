@@ -88,14 +88,13 @@ type EventID struct {
 // single-threaded by design (determinism), with concurrency in the modeled
 // system expressed as interleaved events rather than goroutines.
 type Scheduler struct {
-	now     Time
-	heap    []entry
-	slots   []slot
-	free    int32 // free-list head, 1-based; 0 means empty
-	seq     uint64
-	live    int
-	stale   int // cancelled events whose heap entries remain
-	stopped bool
+	now   Time
+	heap  []entry
+	slots []slot
+	free  int32 // free-list head, 1-based; 0 means empty
+	seq   uint64
+	live  int
+	stale int // cancelled events whose heap entries remain
 	// horizon, when nonzero, is an externally imposed bound the clock may
 	// not cross via AdvanceIfIdle: the mailbox executive
 	// (internal/vtime/domain) sets it to the next pending delivery, so
@@ -242,10 +241,6 @@ func (s *Scheduler) AdvanceTo(t Time) {
 // free-running scheduler the horizon stays 0 and batching is unbounded.
 func (s *Scheduler) SetHorizon(t Time) { s.horizon = t }
 
-// Stop makes the currently executing Run/RunUntil return after the current
-// event completes. Pending events remain queued.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // peek returns the earliest live heap entry, discarding stale (cancelled)
 // entries on the way.
 func (s *Scheduler) peek() (entry, bool) {
@@ -281,18 +276,16 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Scheduler) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 // Events scheduled after t remain pending.
 func (s *Scheduler) RunUntil(t Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		e, ok := s.peek()
 		if !ok || e.at > t {
 			break
@@ -306,7 +299,7 @@ func (s *Scheduler) RunUntil(t Time) {
 
 // AdvanceIfIdle moves the clock forward to t when doing so skips nothing:
 // it returns true — with the clock set to t — only if no pending event is
-// due at or before t and Stop has not been requested. Otherwise it returns
+// due at or before t. Otherwise it returns
 // false and leaves the clock untouched; the caller must fall back to
 // scheduling a normal event.
 //
@@ -319,9 +312,6 @@ func (s *Scheduler) RunUntil(t Time) {
 // execution where the unbatched code would have scheduled it.
 func (s *Scheduler) AdvanceIfIdle(t Time) bool {
 	if t < s.now {
-		return false
-	}
-	if s.stopped {
 		return false
 	}
 	if s.horizon != 0 && t >= s.horizon {

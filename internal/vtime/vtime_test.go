@@ -124,26 +124,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := NewScheduler()
-	n := 0
-	for i := 0; i < 10; i++ {
-		s.At(Time(i), func() {
-			n++
-			if n == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if n != 3 {
-		t.Fatalf("ran %d events before Stop, want 3", n)
-	}
-	if s.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", s.Pending())
-	}
-}
-
 func TestPerSecond(t *testing.T) {
 	if got := PerSecond(1); got != Second {
 		t.Fatalf("PerSecond(1) = %v, want 1s", got)
@@ -221,11 +201,11 @@ func TestRandExpMean(t *testing.T) {
 	sum := 0.0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
+		sum += r.expFloat64()
 	}
 	mean := sum / n
 	if mean < 0.98 || mean > 1.02 {
-		t.Fatalf("ExpFloat64 mean = %v, want ~1", mean)
+		t.Fatalf("expFloat64 mean = %v, want ~1", mean)
 	}
 }
 
@@ -266,7 +246,7 @@ func TestServerSerializesWork(t *testing.T) {
 		t.Fatalf("second charge done at %v, want 150", done)
 	}
 	s.RunUntil(200)
-	if sv.Busy() {
+	if sv.busyUntil > s.Now() {
 		t.Fatal("server still busy after all work completed")
 	}
 	if done := sv.Charge(10); done != 210 {
@@ -302,11 +282,11 @@ func TestCoreKernelShareSlowsServer(t *testing.T) {
 func TestCoreShareClamp(t *testing.T) {
 	c := NewCore()
 	c.SetKernelShare(2.0)
-	if c.KernelShare() > 0.95 {
-		t.Fatalf("share %v not clamped", c.KernelShare())
+	if c.kernelShare > 0.95 {
+		t.Fatalf("share %v not clamped", c.kernelShare)
 	}
 	c.SetKernelShare(-1)
-	if c.KernelShare() != 0 {
+	if c.kernelShare != 0 {
 		t.Fatalf("negative share not clamped to 0")
 	}
 }
